@@ -1,4 +1,4 @@
-// EXP-ABLATION: measurements behind three design choices DESIGN.md
+// EXP-ABLATION: measurements behind four design choices DESIGN.md
 // calls out.
 //
 // (a) Hash join in the engine substrate: the paper's Q2-style join with
@@ -12,9 +12,13 @@
 //     already-canonical input with one linear pass and skips the
 //     sort+coalesce; measures construction from canonical vs shuffled
 //     periods.
+// (d) Index maintenance under writes: a window probe right after one
+//     INSERT replays the changed row into the index's delta instead of
+//     rescanning the table. Measures that probe against a warm one.
 
 #include <algorithm>
 #include <cinttypes>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/rng.h"
@@ -120,10 +124,59 @@ int main() {
     });
     std::printf("%10zu %14.2f %14.2f\n", n, canonical_ms, shuffled_ms);
   }
+  // -- (d) probe right after a write ------------------------------------------
+  std::printf("\nEXP-ABLATION (d): window probe right after one write vs "
+              "warm, 20,000 rows\n");
+  {
+    std::unique_ptr<client::Connection> conn = bench::OpenTip();
+    engine::Database& db = conn->database();
+    workload::MedicalConfig config;
+    config.rows = 20000;
+    bench::CheckResult(workload::SetUpPrescriptionTable(
+                           &db, conn->tip_types(), config, "rx"),
+                       "setup");
+    bench::MustExec(&db,
+                    "CREATE INDEX rx_valid ON rx (valid) USING interval");
+    // A week at the start of the history: selective (few bounding
+    // periods reach back that far), so index work dominates the probe.
+    const char* probe =
+        "SELECT count(*) FROM rx WHERE overlaps(valid, "
+        "'{[1990-01-01, 1990-01-08]}'::Element)";
+    const char* write =
+        "INSERT INTO rx VALUES ('doc', 'patient0001', '1950-01-01', "
+        "'drug0001', 1, '0 08:00:00', '{[1999-06-01, NOW]}')";
+    bench::MustExec(&db, probe);  // warm build
+    constexpr int kRounds = 31;
+    std::vector<double> warm_ms, write_ms, after_write_ms;
+    for (int i = 0; i < kRounds; ++i) {
+      warm_ms.push_back(bench::TimeMs([&] { bench::MustExec(&db, probe); }));
+      write_ms.push_back(bench::TimeMs([&] { bench::MustExec(&db, write); }));
+      after_write_ms.push_back(
+          bench::TimeMs([&] { bench::MustExec(&db, probe); }));
+    }
+    auto median = [](std::vector<double> v) {
+      std::nth_element(v.begin(), v.begin() + kRounds / 2, v.end());
+      return v[kRounds / 2];
+    };
+    const int64_t builds =
+        bench::MustExec(&db,
+                        "SELECT tip_index_stats('rx', 'rx_valid', "
+                        "'absolute_builds')")
+            .rows[0][0]
+            .int_value();
+    std::printf("%24s %10.3f ms\n", "INSERT", median(write_ms));
+    std::printf("%24s %10.3f ms/query\n", "probe after the INSERT",
+                median(after_write_ms));
+    std::printf("%24s %10.3f ms/query\n", "warm probe", median(warm_ms));
+    std::printf("%24s %10" PRId64 " (median of %d rounds)\n",
+                "absolute builds", builds, kRounds);
+  }
+
   std::printf(
       "\nshape check: (a) hash join wins increasingly with scale;"
       "\n(b) a moving NOW pays the full index rebuild per query — the"
       "\ncost of correct NOW-relative indexing; (c) the canonical"
-      "\nfast path skips the sort entirely.\n");
+      "\nfast path skips the sort entirely; (d) a probe right after a"
+      "\nwrite costs about a warm probe, not a rebuild.\n");
   return 0;
 }

@@ -29,10 +29,10 @@ struct Column {
 /// A secondary interval index over one column, segmented into a
 /// persistent absolute part and a NOW-dependent overlay (see
 /// IntervalIndexState). The index materializes lazily; a table write
-/// invalidates both segments, a change of the transaction time only the
-/// overlay. (Indexing NOW-relative data is the difficulty Bliujute et
-/// al. discuss; segmenting confines the NOW-induced churn to the rows
-/// that actually mention NOW.)
+/// is replayed into both segments' deltas, a change of the transaction
+/// time re-grounds only the overlay. (Indexing NOW-relative data is the
+/// difficulty Bliujute et al. discuss; segmenting confines the
+/// NOW-induced churn to the rows that actually mention NOW.)
 struct IntervalIndexDef {
   std::string name;
   size_t column;

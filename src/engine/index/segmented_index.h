@@ -80,6 +80,10 @@ class IndexStats {
     overlay_builds_.fetch_add(1, std::memory_order_relaxed);
     rows_scanned_.fetch_add(rows_scanned, std::memory_order_relaxed);
   }
+  /// A catch-up re-keyed `rows_scanned` changed rows.
+  void RecordCatchUp(uint64_t rows_scanned) {
+    rows_scanned_.fetch_add(rows_scanned, std::memory_order_relaxed);
+  }
   void RecordProbe(uint64_t rows_returned) {
     probes_.fetch_add(1, std::memory_order_relaxed);
     rows_returned_.fetch_add(rows_returned, std::memory_order_relaxed);
@@ -95,16 +99,28 @@ class IndexStats {
   std::atomic<uint64_t> rows_returned_{0};
 };
 
+/// A full rebuild replaces catch-up once the delta — hidden rows plus
+/// delta entries, summed over both segments — exceeds the larger of
+/// kMinDeltaRebuildRows and 1/kDeltaRebuildFraction of the rows the
+/// last full build scanned. Past that, the per-probe cost of skipping
+/// hidden rows and scanning the delta outweighs a rebuild.
+inline constexpr size_t kDeltaRebuildFraction = 8;
+inline constexpr size_t kMinDeltaRebuildRows = 64;
+
+/// One immutable segment of an interval index: a tree built from the
+/// heap, plus the delta a catch-up patched in (see segmented_index.cc).
+struct IndexSegment;
+
 /// An immutable probe view over the two segments of a segmented
 /// interval index, consistent as of one (heap version, NOW) pair.
-/// Copyable and cheap: it shares ownership of both trees, so a view
-/// stays valid even if a concurrent query swaps fresh segments into the
-/// owning state.
+/// Copyable and cheap: it shares ownership of both segments, so a view
+/// keeps answering from its snapshot even after later GetView calls
+/// publish caught-up or rebuilt segments.
 class IntervalIndexView {
  public:
   IntervalIndexView() = default;
-  IntervalIndexView(std::shared_ptr<const IntervalIndex> absolute,
-                    std::shared_ptr<const IntervalIndex> overlay,
+  IntervalIndexView(std::shared_ptr<const IndexSegment> absolute,
+                    std::shared_ptr<const IndexSegment> overlay,
                     std::shared_ptr<IndexStats> stats)
       : absolute_(std::move(absolute)),
         overlay_(std::move(overlay)),
@@ -119,12 +135,13 @@ class IntervalIndexView {
     FindOverlapping(q, q, out);
   }
 
-  /// Total entries across both segments.
+  /// Live entries across both segments: tree entries of rows not
+  /// hidden, plus the deltas. O(entries); not counted as a probe.
   size_t entry_count() const;
 
  private:
-  std::shared_ptr<const IntervalIndex> absolute_;
-  std::shared_ptr<const IntervalIndex> overlay_;  // null: no NOW-dependent rows
+  std::shared_ptr<const IndexSegment> absolute_;
+  std::shared_ptr<const IndexSegment> overlay_;
   std::shared_ptr<IndexStats> stats_;
 };
 
@@ -132,20 +149,27 @@ class IntervalIndexView {
 /// index:
 ///
 ///  * the *absolute segment* — rows whose key does not depend on NOW —
-///    built once per heap version and reused across NOW changes;
+///    built by a full heap scan and reused across NOW changes;
 ///  * the *NOW-dependent overlay* — the (typically few) rows whose key
-///    moves with the transaction time — rebuilt whenever the NOW a
-///    query runs under differs from the one the overlay was built at.
+///    moves with the transaction time — re-grounded whenever the NOW a
+///    query runs under differs from the one it was built at.
 ///
 /// This is what keeps the paper's NOW-override what-if browsing cheap:
 /// re-evaluating the same query under many transaction times re-grounds
 /// only the NOW-relative rows instead of rebuilding the whole index.
 ///
-/// Rebuilds are atomic: segments are constructed into locals and only
-/// swapped in on success, so a key-extraction error mid-rebuild leaves
-/// the previous consistent state untouched. All rebuild decisions and
-/// swaps happen under an internal mutex, making concurrent GetView
-/// calls from multiple query threads safe.
+/// Writes do not force a rebuild either. A view requested after writes
+/// asks the heap's change log which rows changed, hides their old
+/// entries in both segments and re-keys the live ones into the delta of
+/// the segment they now belong to. A full rebuild happens only when the
+/// heap cannot say (log overflow, ROLLBACK), when the delta outgrows
+/// kDeltaRebuildFraction, on first use and after Discard.
+///
+/// Updates are atomic: new segments are staged in locals and swapped
+/// in only on success, so a key-extraction error leaves the previous
+/// consistent state untouched. All decisions and swaps happen under an
+/// internal mutex, making concurrent GetView calls from multiple query
+/// threads safe.
 class IntervalIndexState {
  public:
   IntervalIndexState() = default;
@@ -154,31 +178,40 @@ class IntervalIndexState {
   IntervalIndexState& operator=(const IntervalIndexState&) = delete;
 
   /// Returns a probe view consistent with `heap`'s current version and
-  /// `ctx`'s transaction time, rebuilding the stale segment(s) first.
-  /// `column` selects the indexed column; `key_fn` extracts keys.
+  /// `ctx`'s transaction time, catching up or rebuilding the stale
+  /// segment(s) first. `column` selects the indexed column; `key_fn`
+  /// extracts keys.
   Result<IntervalIndexView> GetView(const HeapTable& heap, size_t column,
                                     const IntervalKeyFn& key_fn,
                                     const TxContext& ctx);
 
+  /// Drops the segments, so the next GetView rebuilds from the heap.
+  /// CHECK calls this on an index it found inconsistent.
+  void Discard();
+
   IndexStatsSnapshot stats() const { return stats_->Snapshot(); }
 
  private:
+  Status Rebuild(const HeapTable& heap, size_t column,
+                 const IntervalKeyFn& key_fn, const TxContext& ctx);
+  Status CatchUp(const HeapTable& heap, size_t column,
+                 const IntervalKeyFn& key_fn, const TxContext& ctx,
+                 std::vector<RowId> changed);
+
   std::mutex mu_;
 
-  // Absolute segment, valid iff absolute_valid_ for heap version
-  // built_version_. now_rows_ lists the rows excluded from it because
-  // their keys depend on NOW (the overlay's domain).
-  bool absolute_valid_ = false;
-  uint64_t built_version_ = 0;
-  std::shared_ptr<const IntervalIndex> absolute_;
+  // Both segments are null until the first build and after Discard.
+  // They reflect heap version version_; the overlay's entries are
+  // grounded at transaction time now_.
+  std::shared_ptr<const IndexSegment> absolute_;
+  std::shared_ptr<const IndexSegment> overlay_;
+  uint64_t version_ = 0;
+  int64_t now_ = 0;
+  // Every live row whose key depends on NOW, sorted: what the overlay
+  // re-grounds when NOW moves.
   std::vector<RowId> now_rows_;
-
-  // Overlay over now_rows_, valid iff overlay_valid_ for transaction
-  // time overlay_now_. The explicit flag (not a magic built_now value)
-  // is what distinguishes "never built" from "built at the epoch".
-  bool overlay_valid_ = false;
-  int64_t overlay_now_ = 0;
-  std::shared_ptr<const IntervalIndex> overlay_;
+  // The churn at which a catch-up becomes a full rebuild.
+  size_t churn_limit_ = 0;
 
   std::shared_ptr<IndexStats> stats_ = std::make_shared<IndexStats>();
 };

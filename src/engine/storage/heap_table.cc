@@ -14,8 +14,9 @@ RowId HeapTable::Insert(Row row) {
   page.live.push_back(true);
   AddRowHash(page.rows.back());
   ++live_rows_;
-  ++version_;
-  return MakeRowId(page_no, slot);
+  const RowId id = MakeRowId(page_no, slot);
+  RecordWrite(id);
+  return id;
 }
 
 Status HeapTable::Delete(RowId id) {
@@ -29,7 +30,7 @@ Status HeapTable::Delete(RowId id) {
   pages_[page_no]->live[slot] = false;
   pages_[page_no]->rows[slot].clear();  // release value storage eagerly
   --live_rows_;
-  ++version_;
+  RecordWrite(id);
   return Status::OK();
 }
 
@@ -43,7 +44,7 @@ Status HeapTable::Update(RowId id, Row row) {
   SubRowHash(pages_[page_no]->rows[slot]);
   pages_[page_no]->rows[slot] = std::move(row);
   AddRowHash(pages_[page_no]->rows[slot]);
-  ++version_;
+  RecordWrite(id);
   return Status::OK();
 }
 
@@ -64,6 +65,25 @@ void HeapTable::ResetTo(std::vector<Row> rows) {
   checksum_maintained_ = row_hasher_ != nullptr;
   ++version_;  // Insert bumps it too, but rows may be empty
   for (Row& row : rows) Insert(std::move(row));
+  log_start_ = version_;  // row ids were reassigned: nothing can catch up
+}
+
+void HeapTable::RecordWrite(RowId id) {
+  ++version_;
+  if (change_log_.empty()) change_log_.resize(kChangeLogCapacity);
+  change_log_[version_ % kChangeLogCapacity] = id;
+}
+
+bool HeapTable::ChangedSince(uint64_t since,
+                             std::vector<RowId>* out) const {
+  const uint64_t oldest =
+      std::max(log_start_, version_ - std::min<uint64_t>(
+                                          version_, kChangeLogCapacity));
+  if (since < oldest || since > version_) return false;
+  for (uint64_t v = since + 1; v <= version_; ++v) {
+    out->push_back(change_log_[v % kChangeLogCapacity]);
+  }
+  return true;
 }
 
 void HeapTable::set_row_hasher(RowHasher hasher) {

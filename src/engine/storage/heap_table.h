@@ -22,6 +22,11 @@ using RowId = uint64_t;
 
 inline constexpr uint32_t kRowsPerPage = 256;
 
+/// How many of the most recent writes a heap remembers the row ids of
+/// (see HeapTable::ChangedSince). An index that falls further behind
+/// rebuilds from a full scan instead of catching up.
+inline constexpr size_t kChangeLogCapacity = 1024;
+
 inline RowId MakeRowId(uint32_t page, uint32_t slot) {
   return (static_cast<uint64_t>(page) << 32) | slot;
 }
@@ -61,7 +66,8 @@ class HeapTable {
   /// Discards everything and re-inserts `rows` as the new contents
   /// (ROLLBACK restoring an undo image). RowIds are compacted exactly
   /// as a snapshot restore compacts them, and the version counter keeps
-  /// advancing so indexes over the heap notice and rebuild.
+  /// advancing; the change log forgets every earlier version, so
+  /// indexes over the heap rebuild instead of catching up.
   void ResetTo(std::vector<Row> rows);
 
   /// Number of live rows.
@@ -101,6 +107,13 @@ class HeapTable {
   /// Indexes use it to detect staleness.
   uint64_t version() const { return version_; }
 
+  /// Appends to `out` the ids of the rows the writes after version
+  /// `since` touched (inserted, updated or deleted; in write order,
+  /// with repeats) and returns true. Returns false when the heap no
+  /// longer knows: `since` predates the last kChangeLogCapacity writes
+  /// or the last ResetTo.
+  bool ChangedSince(uint64_t since, std::vector<RowId>* out) const;
+
   /// Hash of one row's logical content, or nullopt when hashing is
   /// currently disabled. Installed by the owning database so the heap
   /// stays ignorant of serialization.
@@ -132,10 +145,17 @@ class HeapTable {
 
   void AddRowHash(const Row& row);
   void SubRowHash(const Row& row);
+  /// Bumps the version and logs `id` as the row that write touched.
+  void RecordWrite(RowId id);
 
   std::vector<std::unique_ptr<Page>> pages_;
   size_t live_rows_ = 0;
   uint64_t version_ = 0;
+  // A ring of the rows the last kChangeLogCapacity writes touched: the
+  // row of version v sits at v % kChangeLogCapacity. Only versions
+  // after log_start_ (the last ResetTo) are in it.
+  std::vector<RowId> change_log_;
+  uint64_t log_start_ = 0;
   RowHasher row_hasher_;
   uint64_t content_checksum_ = 0;
   bool checksum_maintained_ = false;

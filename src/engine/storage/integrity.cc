@@ -39,14 +39,18 @@ std::string Hex64(uint64_t v) {
 
 /// Cross-checks one interval index against the heap, both directions.
 /// Appends failures to `finding`; returns non-OK only for guard trips
-/// and index rebuild errors.
+/// and index rebuild errors. An index found inconsistent drops its
+/// segments, so the next probe rebuilds it from the heap — the source
+/// of truth — instead of serving the rot until a full rebuild.
 Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
                      EvalContext* eval, CheckFinding* finding) {
   const TxContext tx = eval != nullptr ? eval->tx : db->CurrentTx();
   TIP_ASSIGN_OR_RETURN(IntervalIndexView view,
                        table->GetIntervalIndex(def.column, tx));
 
-  auto fail = [finding, &def](std::string what) {
+  bool consistent = true;
+  auto fail = [finding, &def, &consistent](std::string what) {
+    consistent = false;
     finding->ok = false;
     if (!finding->detail.empty()) finding->detail += "; ";
     finding->detail += "index '" + def.name + "': " + std::move(what);
@@ -94,6 +98,7 @@ Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
            " is indexed under an interval that does not overlap its key");
     }
   }
+  if (!consistent) def.state->Discard();
   return Status::OK();
 }
 

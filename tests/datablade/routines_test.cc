@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "datablade/datablade.h"
 
 namespace tip::datablade {
@@ -36,6 +38,12 @@ struct AllenCase {
   const char* b;
   const char* relation;
 };
+
+// Prints a case as its relation name. The default printer dumps the
+// struct's bytes, i.e. the string pointers, which differ from build to
+// build; ctest names discovered parameterized tests after this value,
+// so those names changed with every build.
+void PrintTo(const AllenCase& c, std::ostream* os) { *os << c.relation; }
 
 class AllenSqlTest : public RoutinesTest,
                      public ::testing::WithParamInterface<AllenCase> {};

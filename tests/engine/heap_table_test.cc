@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace tip::engine {
 namespace {
 
@@ -86,6 +88,28 @@ TEST(HeapTableTest, VersionBumpsOnEveryWrite) {
   uint64_t v2 = t.version();
   ASSERT_TRUE(t.Delete(a).ok());
   EXPECT_GT(t.version(), v2);
+
+  // The change log names the row each write since a version touched.
+  RowId b = t.Insert(R(3));
+  std::vector<RowId> changed;
+  ASSERT_TRUE(t.ChangedSince(v0, &changed));
+  EXPECT_EQ(changed, (std::vector<RowId>{a, a, a, b}));
+  changed.clear();
+  ASSERT_TRUE(t.ChangedSince(t.version(), &changed));
+  EXPECT_TRUE(changed.empty());
+
+  // It forgets versions older than its capacity, and every version
+  // before a ResetTo (row ids are reassigned).
+  const uint64_t v3 = t.version();
+  for (size_t i = 0; i < kChangeLogCapacity; ++i) {
+    ASSERT_TRUE(t.Update(b, R(4)).ok());
+  }
+  EXPECT_FALSE(t.ChangedSince(v3 - 1, &changed));
+  ASSERT_TRUE(t.ChangedSince(v3, &changed));
+  EXPECT_EQ(changed.size(), kChangeLogCapacity);
+  const uint64_t v4 = t.version();
+  t.ResetTo({R(5)});
+  EXPECT_FALSE(t.ChangedSince(v4, &changed));
 }
 
 TEST(HeapTableTest, RowIdEncoding) {

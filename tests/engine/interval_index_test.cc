@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <shared_mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/rng.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
@@ -154,6 +157,15 @@ class SegmentedIndexSqlTest : public ::testing::Test {
     return r.rows[0][0].int_value();
   }
 
+  /// CHECK TABLE t's (status, detail).
+  std::pair<std::string, std::string> CheckTable() {
+    ResultSet r = Exec("CHECK TABLE t");
+    if (r.rows.size() != 1) return {"", ""};
+    return {r.rows[0][1].string_value(), r.rows[0][2].string_value()};
+  }
+
+  const HeapTable& Heap() { return (*db_.catalog().GetTable("t"))->heap(); }
+
   Database db_;
 };
 
@@ -229,13 +241,36 @@ TEST_F(SegmentedIndexSqlTest, HeapMutationInvalidatesAbsoluteSegment) {
   EXPECT_EQ(Count(window), 1);
   EXPECT_EQ(Counter("absolute_builds"), 1);
 
+  // Small INSERT/DELETE batches are replayed into the delta: the
+  // absolute segment built above keeps serving.
   Exec("INSERT INTO t VALUES ('{[1999-02-05, 1999-06-01]}')");
   EXPECT_EQ(Count(window), 2);
-  EXPECT_EQ(Counter("absolute_builds"), 2);
+  EXPECT_EQ(Counter("absolute_builds"), 1);
 
   Exec("DELETE FROM t WHERE overlaps(valid, '{[1999-05-01, 1999-06-01]}'"
        "::Element)");
   EXPECT_EQ(Count(window), 1);
+  Exec("INSERT INTO t VALUES ('{[1999-02-07, 1999-02-08]}'), "
+       "('{[1999-07-01, 1999-07-02]}'), ('{[1999-02-09, NOW]}')");
+  EXPECT_EQ(Count(window), 3);
+  EXPECT_EQ(Counter("absolute_builds"), 1);
+
+  // ROLLBACK restores the table with fresh row ids: the change log
+  // cannot say what moved, so the next probe rebuilds.
+  Exec("BEGIN");
+  Exec("DELETE FROM t WHERE overlaps(valid, '{[1999-02-07, 1999-02-08]}'"
+       "::Element)");
+  Exec("ROLLBACK");
+  EXPECT_EQ(Count(window), 3);
+  EXPECT_EQ(Counter("absolute_builds"), 2);
+
+  // So does a burst that outgrows the delta.
+  std::string burst = "INSERT INTO t VALUES ('{[1998-01-01, 1998-01-02]}')";
+  for (size_t i = 0; i < kMinDeltaRebuildRows; ++i) {
+    burst += ", ('{[1998-01-01, 1998-01-02]}')";
+  }
+  Exec(burst);
+  EXPECT_EQ(Count(window), 3);
   EXPECT_EQ(Counter("absolute_builds"), 3);
 }
 
@@ -248,18 +283,94 @@ TEST_F(SegmentedIndexSqlTest, IndexAgreesWithSeqScanAcrossNowOverrides) {
   Exec("INSERT INTO t VALUES ('{[NOW-30, NOW]}')");
   Exec("CREATE INDEX idx ON t (valid) USING interval");
 
-  for (const char* now : {"'1999-11-15'", "'1999-09-17'", "'2000-06-01'"}) {
-    Exec(std::string("SET NOW ") + now);
-    for (const char* window :
-         {"{[1999-03-15, 1999-05-10]}", "{[1999-11-01, 1999-12-31]}",
-          "{[2000-05-01, 2000-07-01]}"}) {
-      Exec("SET interval_join off");
-      const int64_t scanned = Count(window);
-      Exec("SET interval_join on");
-      EXPECT_EQ(Count(window), scanned)
-          << "NOW " << now << " window " << window;
+  auto expect_agreement = [this](const std::string& phase) {
+    for (const char* now : {"'1999-11-15'", "'1999-09-17'", "'2000-06-01'"}) {
+      Exec(std::string("SET NOW ") + now);
+      for (const char* window :
+           {"{[1999-03-15, 1999-05-10]}", "{[1999-11-01, 1999-12-31]}",
+            "{[2000-05-01, 2000-07-01]}", "{[1998-01-01, 1998-12-31]}"}) {
+        Exec("SET interval_join off");
+        const int64_t scanned = Count(window);
+        Exec("SET interval_join on");
+        EXPECT_EQ(Count(window), scanned)
+            << phase << ": NOW " << now << " window " << window;
+      }
     }
+  };
+  expect_agreement("initial build");
+
+  // Writes between probes — open-ended inserts, updates closing them,
+  // deletes — are replayed into the deltas at moving NOWs (each
+  // agreement pass ends at NOW 2000-06-01).
+  Exec("INSERT INTO t VALUES ('{[1999-08-01, NOW]}'), "
+       "('{[1999-12-15, NOW]}')");
+  expect_agreement("open-ended inserts");
+  Exec("UPDATE t SET valid = intersect(valid, '{[1990-01-01, 1999-11-30]}'"
+       "::Element) WHERE overlaps(valid, '{[1999-08-02, 1999-08-03]}'"
+       "::Element)");
+  Exec("INSERT INTO t VALUES ('{[1999-05-20, NOW]}')");
+  expect_agreement("closing update");
+  Exec("DELETE FROM t WHERE overlaps(valid, '{[1999-03-02, 1999-03-03]}'"
+       "::Element)");
+  Exec("UPDATE t SET valid = intersect(valid, '{[1990-01-01, 2000-01-31]}'"
+       "::Element) WHERE overlaps(valid, '{[1999-12-16, 1999-12-17]}'"
+       "::Element)");
+  expect_agreement("delete and second close");
+  EXPECT_EQ(Counter("absolute_builds"), 1);
+
+  Exec("BEGIN");
+  Exec("INSERT INTO t VALUES ('{[1999-04-01, NOW]}')");
+  Exec("DELETE FROM t WHERE overlaps(valid, '{[1999-05-02, 1999-05-03]}'"
+       "::Element)");
+  Exec("SET interval_join off");
+  const int64_t in_txn = Count("{[1999-03-15, 1999-05-10]}");
+  Exec("SET interval_join on");
+  EXPECT_EQ(Count("{[1999-03-15, 1999-05-10]}"), in_txn);
+  Exec("ROLLBACK");
+  expect_agreement("rollback");
+  EXPECT_EQ(Counter("absolute_builds"), 2);
+
+  // A burst past the delta threshold rebuilds. (Its open-ended rows
+  // ground empty at the first two NOWs.)
+  std::string burst = "INSERT INTO t VALUES ('{[1998-03-01, 1998-03-31]}')";
+  for (size_t i = 0; i < kMinDeltaRebuildRows; ++i) {
+    burst += i % 2 == 0 ? ", ('{[2000-03-01, NOW]}')"
+                        : ", ('{[1998-03-01, 1998-03-31]}')";
   }
+  Exec(burst);
+  expect_agreement("burst");
+  EXPECT_EQ(Counter("absolute_builds"), 3);
+
+  // Overflow the heap's change log between two probes with writes that
+  // stay far below the threshold (updates of the same few rows, planned
+  // without the index so they do not catch it up).
+  Exec("SET interval_join off");
+  const uint64_t before = Heap().version();
+  while (Heap().version() - before <= kChangeLogCapacity) {
+    Exec("UPDATE t SET valid = valid WHERE overlaps(valid, "
+         "'{[1999-01-02, 1999-02-03]}'::Element)");
+  }
+  std::vector<RowId> changed;
+  EXPECT_FALSE(Heap().ChangedSince(before, &changed));
+  Exec("SET interval_join on");
+  expect_agreement("change log overflow");
+  EXPECT_EQ(Counter("absolute_builds"), 4);
+  EXPECT_EQ(CheckTable().first, "ok");
+
+  // Rot in an entry the delta added is caught in both directions, and
+  // the probe after the failed CHECK rebuilds from the heap.
+  fault::InjectAt("integrity.indexentry", 0);
+  Exec("INSERT INTO t VALUES ('{[1997-01-01, 1997-01-31]}')");
+  auto [status, detail] = CheckTable();
+  fault::ClearAll();
+  EXPECT_EQ(status, "corrupt");
+  EXPECT_NE(detail.find("not a live heap row"), std::string::npos) << detail;
+  EXPECT_NE(detail.find("missing from the index"), std::string::npos)
+      << detail;
+  EXPECT_EQ(Counter("absolute_builds"), 4);  // the rot came via the delta
+  expect_agreement("after CHECK");
+  EXPECT_EQ(Counter("absolute_builds"), 5);
+  EXPECT_EQ(CheckTable().first, "ok");
 }
 
 TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
@@ -313,6 +424,122 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+
+  // Now writes race the probes. As under the server's gate, GetView
+  // runs shared and each write exclusive; views are probed with no lock
+  // at all while later writes catch the index up (or, past the delta
+  // threshold, rebuild it). A view answers from the snapshot it was
+  // taken at: the 10 open rows (under now_in only) plus the rows the
+  // writer had moved into the window by then.
+  ASSERT_TRUE(db.Execute("CREATE TABLE w (id INT, valid Element)").ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(db.Execute(i < 40 ? "INSERT INTO w VALUES (0, "
+                                     "'{[1990-01-01, 1990-06-01]}')"
+                                   : "INSERT INTO w VALUES (0, "
+                                     "'{[1999-10-01, NOW]}')")
+                    .ok());
+  }
+  ASSERT_TRUE(
+      db.Execute("CREATE INDEX w_idx ON w (valid) USING interval").ok());
+  const Table* written = *db.catalog().GetTable("w");
+  std::shared_mutex gate;
+  int absolute_in_window = 0;  // guarded by gate, as are the next two
+  int open_in_window = 0;
+  bool done = false;
+  auto expected = [&](bool in) {
+    return static_cast<size_t>(absolute_in_window +
+                               (in ? 10 + open_in_window : 0));
+  };
+  auto probe = [&](const IntervalIndexView& view) {
+    std::vector<RowId> out;
+    view.FindOverlapping(qs, qe, &out);
+    return out.size();
+  };
+
+  struct HeldView {
+    IntervalIndexView view;
+    size_t expected;
+  };
+  std::vector<HeldView> before_writes;
+  for (bool in : {true, false}) {
+    Result<IntervalIndexView> view =
+        written->GetIntervalIndex(1, in ? now_in : now_out);
+    ASSERT_TRUE(view.ok());
+    before_writes.push_back({*view, expected(in)});
+  }
+
+  threads.clear();
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<HeldView> held;
+      for (int i = 0;; ++i) {
+        const bool in = (t + i) % 2 == 0;
+        {
+          std::shared_lock<std::shared_mutex> lock(gate);
+          if (done) break;
+          Result<IntervalIndexView> view =
+              written->GetIntervalIndex(1, in ? now_in : now_out);
+          if (!view.ok()) {
+            errors.fetch_add(1);
+            continue;
+          }
+          held.push_back({*view, expected(in)});
+        }
+        if (held.size() > 4) held.erase(held.begin());
+        for (const HeldView& h : held) {
+          if (probe(h.view) != h.expected) mismatches.fetch_add(1);
+        }
+        std::this_thread::yield();  // let the writer in
+      }
+    });
+  }
+  for (int i = 0; i < 160; ++i) {
+    // Per cycle of four: an absolute row enters the window, an open row
+    // enters it, the absolute row is moved out, the open row is closed
+    // inside the window (from the overlay into the absolute delta).
+    const int id = 1000 + i;
+    std::string sql;
+    switch (i % 4) {
+      case 0:
+        sql = "INSERT INTO w VALUES (" + std::to_string(id) +
+              ", '{[1999-12-01, 1999-12-02]}')";
+        break;
+      case 1:
+        sql = "INSERT INTO w VALUES (" + std::to_string(id) +
+              ", '{[1999-11-01, NOW]}')";
+        break;
+      case 2:
+        sql = "UPDATE w SET valid = '{[1990-01-01, 1990-02-01]}'::Element "
+              "WHERE id = " + std::to_string(id - 2);
+        break;
+      default:
+        sql = "UPDATE w SET valid = intersect(valid, "
+              "'{[1999-11-01, 1999-11-05]}'::Element) WHERE id = " +
+              std::to_string(id - 2);
+        break;
+    }
+    std::unique_lock<std::shared_mutex> lock(gate);
+    Result<ResultSet> r = db.Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    const int delta[4][2] = {{1, 0}, {0, 1}, {-1, 0}, {1, -1}};
+    absolute_in_window += delta[i % 4][0];
+    open_in_window += delta[i % 4][1];
+  }
+  {
+    std::unique_lock<std::shared_mutex> lock(gate);
+    done = true;
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  for (const HeldView& h : before_writes) {
+    EXPECT_EQ(probe(h.view), h.expected) << "a pre-write view moved";
+  }
+  Result<IntervalIndexView> after = written->GetIntervalIndex(1, now_in);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(probe(*after), expected(true));
+  EXPECT_EQ(expected(true), 50u);  // 10 open + 40 closed inside the window
+  EXPECT_GT(written->IntervalIndexStats(1)->absolute_builds, 1u);
 }
 
 }  // namespace

@@ -169,23 +169,41 @@ TEST(CatalogTest, IntervalIndexLifecycleAndStaleness) {
   EXPECT_FALSE(table->CreateIntervalIndex("i", 0, key).ok());
   EXPECT_TRUE(table->HasIntervalIndex(0));
 
-  table->heap().Insert(Row{Datum::Int(0)});
-  table->heap().Insert(Row{Datum::Int(100)});
+  const RowId first = table->heap().Insert(Row{Datum::Int(0)});
+  const RowId second = table->heap().Insert(Row{Datum::Int(100)});
   TxContext ctx;
+  Result<IntervalIndexView> built = table->GetIntervalIndex(0, ctx);
+  ASSERT_TRUE(built.ok());
+  EXPECT_EQ(built->entry_count(), 2u);
+
+  // Writes are caught up lazily: the new row is a delta entry, the
+  // updated row's old entry is hidden behind its new one, and the
+  // deleted row's entry is hidden.
+  table->heap().Insert(Row{Datum::Int(200)});
   Result<IntervalIndexView> index = table->GetIntervalIndex(0, ctx);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->entry_count(), 2u);
-
-  // The index lazily rebuilds after writes.
-  table->heap().Insert(Row{Datum::Int(200)});
+  EXPECT_EQ(index->entry_count(), 3u);
+  ASSERT_TRUE(table->heap().Update(first, Row{Datum::Int(50)}).ok());
+  ASSERT_TRUE(table->heap().Delete(second).ok());
   index = table->GetIntervalIndex(0, ctx);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->entry_count(), 3u);
+  EXPECT_EQ(index->entry_count(), 2u);
+  std::vector<RowId> hits;
+  index->FindOverlapping(0, 9, &hits);
+  EXPECT_TRUE(hits.empty());  // `first` now covers [50, 59]
+  index->FindOverlapping(55, 105, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{first});
 
-  // Two heap-version rebuilds, none caused by NOW (all-absolute keys).
+  // A view taken earlier still answers from its snapshot.
+  EXPECT_EQ(built->entry_count(), 2u);
+  hits.clear();
+  built->FindOverlapping(0, 9, &hits);
+  EXPECT_EQ(hits, std::vector<RowId>{first});
+
+  // One full build, none caused by NOW (all-absolute keys).
   std::optional<IndexStatsSnapshot> stats = table->IntervalIndexStats(0);
   ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->absolute_builds, 2u);
+  EXPECT_EQ(stats->absolute_builds, 1u);
   EXPECT_EQ(stats->overlay_builds, 0u);
 
   ASSERT_TRUE(table->DropIndex("i").ok());

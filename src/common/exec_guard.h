@@ -11,9 +11,9 @@
 namespace tip {
 
 /// Session-lifetime counters of statement-lifecycle events, read back
-/// through `tip_guard_stats()` and appended to EXPLAIN output. All
-/// fields are monotonically increasing; writers are the statements
-/// themselves, so every field is an atomic.
+/// through `tip_guard_stats()`. All fields are monotonically
+/// increasing; writers are the statements themselves, so every field
+/// is an atomic.
 struct GuardEvents {
   std::atomic<uint64_t> timeouts{0};
   std::atomic<uint64_t> cancels{0};

@@ -1,12 +1,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "common/string_util.h"
 #include "engine/database.h"
+#include "engine/metrics.h"
 #include "engine/storage/integrity.h"
 
 namespace tip::engine {
@@ -434,113 +436,196 @@ Status RegisterAggregates(Database* db) {
   return Status::OK();
 }
 
-Result<IndexStatsSnapshot> LookupIndexStats(const Database* db,
-                                            const std::string& table_name,
-                                            const std::string& index_name) {
-  TIP_ASSIGN_OR_RETURN(const Table* table,
-                       db->catalog().GetTable(table_name));
-  for (const IntervalIndexDef& def : table->interval_indexes()) {
-    if (EqualsIgnoreCase(def.name, index_name)) return def.stats();
-  }
-  return Status::NotFound("index '" + index_name + "' does not exist on '" +
-                          table->name() + "'");
+// -- Counter lists -----------------------------------------------------------
+//
+// One list per subsystem (see metrics.h), read from the live counters on
+// every call. RegisterStats generates both SQL overloads of each
+// subsystem's stats routine from its list.
+
+uint64_t Load(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
 }
 
-// tip_index_stats('table', 'index')            -> formatted counter string
-// tip_index_stats('table', 'index', 'counter') -> one counter as INT
-// The observability surface for the segmented interval index: lets SQL
-// (and hence tests and benches) assert how often each segment was
-// rebuilt and how selective probes were.
-Status RegisterIndexStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_index_stats", {s, s}, s,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        TIP_ASSIGN_OR_RETURN(
-            IndexStatsSnapshot stats,
-            LookupIndexStats(db, a[0].string_value(), a[1].string_value()));
-        return Datum::String(stats.ToString());
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_index_stats", {s, s, s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        TIP_ASSIGN_OR_RETURN(
-            IndexStatsSnapshot stats,
-            LookupIndexStats(db, a[0].string_value(), a[1].string_value()));
-        const std::string counter = ToLowerAscii(a[2].string_value());
-        uint64_t value;
-        if (counter == "absolute_builds") {
-          value = stats.absolute_builds;
-        } else if (counter == "overlay_builds") {
-          value = stats.overlay_builds;
-        } else if (counter == "probes") {
-          value = stats.probes;
-        } else if (counter == "rows_scanned") {
-          value = stats.rows_scanned;
-        } else if (counter == "rows_returned") {
-          value = stats.rows_returned;
-        } else {
-          return Status::InvalidArgument("unknown index counter '" +
-                                         counter + "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
+// The statement lifecycle guard: how often statements hit timeouts,
+// cancels, memory budgets, or degraded a parallel plan to serial.
+Metrics GuardMetrics(const Database& db) {
+  const GuardEvents& ev = db.guard_events();
+  return {{"timeouts", Load(ev.timeouts)},
+          {"cancels", Load(ev.cancels)},
+          {"oom", Load(ev.oom)},
+          {"parallel_fallbacks", Load(ev.parallel_fallbacks)}};
 }
 
-// tip_guard_stats()          -> formatted lifecycle counters
-// tip_guard_stats('counter') -> one counter as INT
-// The observability surface for the statement lifecycle guard: how often
-// statements on this session hit timeouts, cancels, memory budgets, or
-// degraded a parallel plan to serial.
-Status RegisterGuardStats(Database* db) {
+// Durability: append and fsync traffic, group-commit effectiveness,
+// transactions, and what recovery had to do.
+Metrics WalMetrics(const Database& db) {
+  const DurabilityStats st = db.durability_stats();
+  return {{"records_appended", st.wal.records_appended},
+          {"bytes_written", st.wal.bytes_written},
+          {"fsyncs", st.wal.fsyncs},
+          {"rotations", st.wal.rotations},
+          {"max_batch_records", st.wal.max_batch_records},
+          {"next_lsn", st.wal_next_lsn},
+          {"checkpoints", st.checkpoints},
+          {"recoveries_run", st.recoveries_run},
+          {"records_replayed", st.records_replayed},
+          {"torn_tail_truncations", st.torn_tail_truncations},
+          {"txns_committed", st.txns_committed},
+          {"txns_rolled_back", st.txns_rolled_back},
+          {"txn_records_discarded", st.txn_records_discarded}};
+}
+
+// The prepared-statement plan cache. The stats query is itself a
+// SELECT: with the cache on it takes one miss of its own the first time
+// a session runs it.
+Metrics PlanMetrics(const Database& db) {
+  const PlanCacheStats& st = db.plan_cache_stats();
+  return {{"hits", Load(st.hits)},
+          {"misses", Load(st.misses)},
+          {"invalidations", Load(st.invalidations)},
+          {"evictions", Load(st.evictions)},
+          {"entries", db.plan_cache_entries()},
+          {"capacity", db.plan_cache_capacity()},
+          {"catalog_version", db.catalog_version()}};
+}
+
+// Integrity: scrubs and what they found.
+Metrics HealthMetrics(const Database& db) {
+  const IntegrityStats st = db.integrity_stats();
+  return {{"scrubs_run", st.scrubs_run},
+          {"objects_checked", st.objects_checked},
+          {"corruptions_found", st.corruptions_found},
+          {"quarantined", st.tables_quarantined},
+          {"scrub_ticks", st.scrub_ticks},
+          {"manifest_entries", db.corruption_manifest().size()}};
+}
+
+// The TCP server front-end: session admission, wire volume, drains,
+// fail-stop session deaths and the shared/exclusive gate. Gate waits
+// accumulate in microseconds and are reported in milliseconds.
+Metrics ServerMetrics(const Database& db) {
+  const ServerStatsCounters& sv = db.server_stats();
+  return {{"sessions_active", Load(sv.sessions_active)},
+          {"sessions_peak", Load(sv.sessions_peak)},
+          {"sessions_total", Load(sv.sessions_total)},
+          {"sessions_rejected", Load(sv.sessions_rejected)},
+          {"statements_served", Load(sv.statements_served)},
+          {"bytes_in", Load(sv.bytes_in)},
+          {"bytes_out", Load(sv.bytes_out)},
+          {"drains", Load(sv.drains)},
+          {"session_aborts", Load(sv.session_aborts)},
+          {"cancels_received", Load(sv.cancels_received)},
+          {"idle_timeouts", Load(sv.idle_timeouts)},
+          {"wire_faults", Load(sv.wire_faults)},
+          {"gate_shared", Load(sv.gate_shared)},
+          {"gate_exclusive", Load(sv.gate_exclusive)},
+          {"gate_upgrades", Load(sv.gate_upgrades)},
+          {"gate_wait_shared_ms", Load(sv.gate_wait_shared_us) / 1000},
+          {"gate_wait_exclusive_ms", Load(sv.gate_wait_exclusive_us) / 1000},
+          {"gate_busy_shared", Load(sv.gate_busy_shared)},
+          {"gate_busy_exclusive", Load(sv.gate_busy_exclusive)}};
+}
+
+/// Builds a subsystem's list from its stats routine's leading arguments
+/// (only tip_index_stats has any: the table and index names).
+using MetricsSource =
+    std::function<Result<Metrics>(const std::vector<Datum>& args)>;
+
+// <routine>(args...)            -> every counter, `name=value ...`
+// <routine>(args..., 'counter') -> one counter as INT
+// `decorate`, when set, adds the subsystem's non-counter text around
+// the formatted counters.
+Status RegisterMetrics(
+    RoutineRegistry& reg, const char* routine, std::vector<TypeId> params,
+    const char* subsystem, MetricsSource source,
+    std::function<std::string(std::string counters)> decorate = nullptr) {
+  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
+      routine, params, TypeId::kString,
+      [source, decorate](const std::vector<Datum>& a,
+                         EvalContext&) -> Result<Datum> {
+        TIP_ASSIGN_OR_RETURN(Metrics metrics, source(a));
+        std::string text = FormatMetrics(metrics);
+        return Datum::String(decorate ? decorate(std::move(text)) : text);
+      })));
+  params.push_back(TypeId::kString);
+  return reg.Register(MakeRoutine(
+      routine, std::move(params), TypeId::kInt,
+      [source, subsystem](const std::vector<Datum>& a,
+                          EvalContext&) -> Result<Datum> {
+        TIP_ASSIGN_OR_RETURN(Metrics metrics, source(a));
+        TIP_ASSIGN_OR_RETURN(
+            uint64_t value,
+            FindMetric(metrics, subsystem, a.back().string_value()));
+        return Datum::Int(static_cast<int64_t>(value));
+      }));
+}
+
+// tip_index_stats('table', 'index'), tip_guard_stats(), tip_wal_stats(),
+// tip_plan_stats(), tip_health() and tip_server_stats(), each with a
+// one-counter overload. Queryable from any session, remote or embedded.
+Status RegisterStats(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId s = TypeId::kString;
+  auto whole = [db](Metrics (*list)(const Database&)) -> MetricsSource {
+    return [db, list](const std::vector<Datum>&) -> Result<Metrics> {
+      return list(*db);
+    };
+  };
 
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_guard_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const GuardEvents& ev = db->guard_events();
-        return Datum::String(
-            "timeouts=" +
-            std::to_string(ev.timeouts.load(std::memory_order_relaxed)) +
-            " cancels=" +
-            std::to_string(ev.cancels.load(std::memory_order_relaxed)) +
-            " oom=" + std::to_string(ev.oom.load(std::memory_order_relaxed)) +
-            " parallel_fallbacks=" +
-            std::to_string(
-                ev.parallel_fallbacks.load(std::memory_order_relaxed)));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_guard_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const GuardEvents& ev = db->guard_events();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "timeouts") {
-          value = ev.timeouts.load(std::memory_order_relaxed);
-        } else if (counter == "cancels") {
-          value = ev.cancels.load(std::memory_order_relaxed);
-        } else if (counter == "oom") {
-          value = ev.oom.load(std::memory_order_relaxed);
-        } else if (counter == "parallel_fallbacks") {
-          value = ev.parallel_fallbacks.load(std::memory_order_relaxed);
-        } else {
-          return Status::InvalidArgument("unknown guard counter '" + counter +
-                                         "'");
+  TIP_RETURN_IF_ERROR(RegisterMetrics(
+      reg, "tip_index_stats", {s, s}, "index",
+      [db](const std::vector<Datum>& a) -> Result<Metrics> {
+        const std::string& index = a[1].string_value();
+        TIP_ASSIGN_OR_RETURN(const Table* table,
+                             db->catalog().GetTable(a[0].string_value()));
+        for (const IntervalIndexDef& def : table->interval_indexes()) {
+          if (EqualsIgnoreCase(def.name, index)) {
+            return IndexMetrics(def.stats());
+          }
         }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
+        return Status::NotFound("index '" + index +
+                                "' does not exist on '" + table->name() +
+                                "'");
+      }));
+  TIP_RETURN_IF_ERROR(RegisterMetrics(reg, "tip_guard_stats", {}, "guard",
+                                      whole(GuardMetrics)));
+  TIP_RETURN_IF_ERROR(RegisterMetrics(
+      reg, "tip_wal_stats", {}, "wal", whole(WalMetrics),
+      [db](std::string counters) {
+        return "mode=" + std::string(WalModeName(db->wal_mode())) + " " +
+               counters;
+      }));
+  TIP_RETURN_IF_ERROR(RegisterMetrics(reg, "tip_plan_stats", {}, "plan",
+                                      whole(PlanMetrics)));
+  // tip_health() follows its counters with the quarantine list and the
+  // corruption manifest.
+  TIP_RETURN_IF_ERROR(RegisterMetrics(
+      reg, "tip_health", {}, "health", whole(HealthMetrics),
+      [db](std::string out) {
+        for (const auto& [name, cause] : db->catalog().QuarantineList()) {
+          out += " [" + name + ": " + cause + "]";
+        }
+        for (const CorruptionManifestEntry& entry :
+             db->corruption_manifest()) {
+          out += " {" + entry.object + " @ " + entry.file;
+          if (entry.lsn != 0) out += " lsn=" + std::to_string(entry.lsn);
+          if (entry.offset != 0) {
+            out += " offset=" + std::to_string(entry.offset);
+          }
+          out += ": " + entry.cause + "}";
+        }
+        return out;
+      }));
+  return RegisterMetrics(reg, "tip_server_stats", {}, "server",
+                         whole(ServerMetrics));
+}
 
-  // tip_sleep_ms(n) -> n after sleeping ~n milliseconds in 1ms slices,
-  // checking the statement guard between slices. Exists so tests and
-  // demos can hold a statement open long enough to cancel or time it
-  // out deterministically.
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
+// tip_sleep_ms(n) -> n after sleeping ~n milliseconds in 1ms slices,
+// checking the statement guard between slices. Exists so tests and
+// demos can hold a statement open long enough to cancel or time it out
+// deterministically.
+Status RegisterSleep(Database* db) {
+  return db->routines().Register(MakeRoutine(
       "tip_sleep_ms", {TypeId::kInt}, TypeId::kInt,
       [](const std::vector<Datum>& a, EvalContext& eval) -> Result<Datum> {
         const int64_t ms = a[0].int_value();
@@ -550,76 +635,13 @@ Status RegisterGuardStats(Database* db) {
         }
         TIP_RETURN_IF_ERROR(eval.CheckGuardNow());
         return Datum::Int(ms);
-      })));
-  return Status::OK();
+      }));
 }
 
-// tip_wal_stats()          -> formatted durability counters
-// tip_wal_stats('counter') -> one counter as INT
-// tip_checkpoint()         -> takes a checkpoint, returns its LSN
-// The observability surface for the durability subsystem, mirroring
-// tip_index_stats / tip_guard_stats: append and fsync traffic, group-
-// commit effectiveness, and what recovery had to do.
-Status RegisterWalStats(Database* db) {
+// tip_checkpoint() -> takes a checkpoint, returns the checkpoint count
+// tip_sync_wal()   -> forces the WAL to stable storage
+Status RegisterDurability(Database* db) {
   RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_wal_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const DurabilityStats stats = db->durability_stats();
-        return Datum::String(
-            "mode=" + std::string(WalModeName(db->wal_mode())) + " " +
-            stats.wal.ToString() +
-            " next_lsn=" + std::to_string(stats.wal_next_lsn) +
-            " checkpoints=" + std::to_string(stats.checkpoints) +
-            " recoveries=" + std::to_string(stats.recoveries_run) +
-            " replayed=" + std::to_string(stats.records_replayed) +
-            " torn_tails=" + std::to_string(stats.torn_tail_truncations) +
-            " txns_committed=" + std::to_string(stats.txns_committed) +
-            " txns_rolled_back=" + std::to_string(stats.txns_rolled_back) +
-            " txn_records_discarded=" +
-            std::to_string(stats.txn_records_discarded));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_wal_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const DurabilityStats stats = db->durability_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "records_appended") {
-          value = stats.wal.records_appended;
-        } else if (counter == "bytes_written") {
-          value = stats.wal.bytes_written;
-        } else if (counter == "fsyncs") {
-          value = stats.wal.fsyncs;
-        } else if (counter == "rotations") {
-          value = stats.wal.rotations;
-        } else if (counter == "max_batch_records") {
-          value = stats.wal.max_batch_records;
-        } else if (counter == "checkpoints") {
-          value = stats.checkpoints;
-        } else if (counter == "recoveries_run") {
-          value = stats.recoveries_run;
-        } else if (counter == "records_replayed") {
-          value = stats.records_replayed;
-        } else if (counter == "torn_tail_truncations") {
-          value = stats.torn_tail_truncations;
-        } else if (counter == "next_lsn") {
-          value = stats.wal_next_lsn;
-        } else if (counter == "txns_committed") {
-          value = stats.txns_committed;
-        } else if (counter == "txns_rolled_back") {
-          value = stats.txns_rolled_back;
-        } else if (counter == "txn_records_discarded") {
-          value = stats.txn_records_discarded;
-        } else {
-          return Status::InvalidArgument("unknown wal counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
 
   // tip_checkpoint() lets the torture harness (and operators) force a
   // snapshot + WAL truncation through plain SQL over the C API.
@@ -642,71 +664,13 @@ Status RegisterWalStats(Database* db) {
   return Status::OK();
 }
 
-// tip_plan_stats()          -> formatted plan-cache counters
-// tip_plan_stats('counter') -> one counter as INT
-// The observability surface for the prepared-statement plan cache,
-// mirroring the other tip_*_stats routines. Note the stats query itself
-// is a SELECT: with the cache on it takes one miss of its own the first
-// time a session runs it.
-Status RegisterPlanStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_plan_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const PlanCacheStats& st = db->plan_cache_stats();
-        return Datum::String(
-            "hits=" + std::to_string(st.hits.load(std::memory_order_relaxed)) +
-            " misses=" +
-            std::to_string(st.misses.load(std::memory_order_relaxed)) +
-            " invalidations=" +
-            std::to_string(st.invalidations.load(std::memory_order_relaxed)) +
-            " evictions=" +
-            std::to_string(st.evictions.load(std::memory_order_relaxed)) +
-            " entries=" + std::to_string(db->plan_cache_entries()) +
-            " capacity=" + std::to_string(db->plan_cache_capacity()) +
-            " catalog_version=" + std::to_string(db->catalog_version()));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_plan_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const PlanCacheStats& st = db->plan_cache_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "hits") {
-          value = st.hits.load(std::memory_order_relaxed);
-        } else if (counter == "misses") {
-          value = st.misses.load(std::memory_order_relaxed);
-        } else if (counter == "invalidations") {
-          value = st.invalidations.load(std::memory_order_relaxed);
-        } else if (counter == "evictions") {
-          value = st.evictions.load(std::memory_order_relaxed);
-        } else if (counter == "entries") {
-          value = db->plan_cache_entries();
-        } else if (counter == "capacity") {
-          value = db->plan_cache_capacity();
-        } else if (counter == "catalog_version") {
-          value = db->catalog_version();
-        } else {
-          return Status::InvalidArgument("unknown plan counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
-}
-
 // tip_verify()            -> one-line online scrub verdict (all tables)
-// tip_health()            -> scrub counters + quarantine list
-// tip_health('counter')   -> one counter as INT
 // tip_verify_dir('path')  -> offline deep-scan of a durable directory
-// The observability surface for the integrity subsystem. tip_verify()
-// is the scalar twin of CHECK DATABASE; tip_verify_dir() validates a
-// directory *without* attaching it (no replay, no truncation — safe to
-// point at a directory another process owns).
-Status RegisterIntegrityStats(Database* db) {
+// The integrity subsystem's routines (its counters are tip_health()).
+// tip_verify() is the scalar twin of CHECK DATABASE; tip_verify_dir()
+// validates a directory *without* attaching it (no replay, no
+// truncation — safe to point at a directory another process owns).
+Status RegisterIntegrity(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId s = TypeId::kString;
 
@@ -767,59 +731,6 @@ Status RegisterIntegrityStats(Database* db) {
       })));
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_health", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const IntegrityStats stats = db->integrity_stats();
-        std::string out =
-            "scrubs=" + std::to_string(stats.scrubs_run) +
-            " objects_checked=" + std::to_string(stats.objects_checked) +
-            " corruptions_found=" + std::to_string(stats.corruptions_found) +
-            " quarantined=" + std::to_string(stats.tables_quarantined) +
-            " scrub_ticks=" + std::to_string(stats.scrub_ticks);
-        for (const auto& [name, cause] : db->catalog().QuarantineList()) {
-          out += " [" + name + ": " + cause + "]";
-        }
-        const auto manifest = db->corruption_manifest();
-        if (!manifest.empty()) {
-          out += " manifest=" + std::to_string(manifest.size());
-          for (const CorruptionManifestEntry& entry : manifest) {
-            out += " {" + entry.object + " @ " + entry.file;
-            if (entry.lsn != 0) out += " lsn=" + std::to_string(entry.lsn);
-            if (entry.offset != 0) {
-              out += " offset=" + std::to_string(entry.offset);
-            }
-            out += ": " + entry.cause + "}";
-          }
-        }
-        return Datum::String(out);
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_health", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const IntegrityStats stats = db->integrity_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "scrubs_run") {
-          value = stats.scrubs_run;
-        } else if (counter == "objects_checked") {
-          value = stats.objects_checked;
-        } else if (counter == "corruptions_found") {
-          value = stats.corruptions_found;
-        } else if (counter == "quarantined") {
-          value = stats.tables_quarantined;
-        } else if (counter == "scrub_ticks") {
-          value = stats.scrub_ticks;
-        } else if (counter == "manifest_entries") {
-          value = db->corruption_manifest().size();
-        } else {
-          return Status::InvalidArgument("unknown health counter '" +
-                                         counter + "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify_dir", {s}, s,
       [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
         OfflineVerifyReport report;
@@ -839,136 +750,16 @@ Status RegisterIntegrityStats(Database* db) {
   return Status::OK();
 }
 
-// tip_server_stats()          -> formatted server front-end counters
-// tip_server_stats('counter') -> one counter as INT
-// The observability surface for the TCP server front-end: session
-// admission traffic, wire volume, drains, and fail-stop session
-// deaths. Queryable from any session, remote or embedded.
-Status RegisterServerStats(Database* db) {
-  RoutineRegistry& reg = db->routines();
-  const TypeId s = TypeId::kString;
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_server_stats", {}, s,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
-        const ServerStatsCounters& sv = db->server_stats();
-        return Datum::String(
-            "active=" +
-            std::to_string(
-                sv.sessions_active.load(std::memory_order_relaxed)) +
-            " peak=" +
-            std::to_string(sv.sessions_peak.load(std::memory_order_relaxed)) +
-            " total=" +
-            std::to_string(sv.sessions_total.load(std::memory_order_relaxed)) +
-            " rejected=" +
-            std::to_string(
-                sv.sessions_rejected.load(std::memory_order_relaxed)) +
-            " statements=" +
-            std::to_string(
-                sv.statements_served.load(std::memory_order_relaxed)) +
-            " bytes_in=" +
-            std::to_string(sv.bytes_in.load(std::memory_order_relaxed)) +
-            " bytes_out=" +
-            std::to_string(sv.bytes_out.load(std::memory_order_relaxed)) +
-            " drains=" +
-            std::to_string(sv.drains.load(std::memory_order_relaxed)) +
-            " session_aborts=" +
-            std::to_string(
-                sv.session_aborts.load(std::memory_order_relaxed)) +
-            " cancels=" +
-            std::to_string(
-                sv.cancels_received.load(std::memory_order_relaxed)) +
-            " idle_timeouts=" +
-            std::to_string(sv.idle_timeouts.load(std::memory_order_relaxed)) +
-            " wire_faults=" +
-            std::to_string(sv.wire_faults.load(std::memory_order_relaxed)) +
-            " gate_shared=" +
-            std::to_string(sv.gate_shared.load(std::memory_order_relaxed)) +
-            " gate_exclusive=" +
-            std::to_string(
-                sv.gate_exclusive.load(std::memory_order_relaxed)) +
-            " gate_upgrades=" +
-            std::to_string(
-                sv.gate_upgrades.load(std::memory_order_relaxed)) +
-            " gate_wait_shared_ms=" +
-            std::to_string(
-                sv.gate_wait_shared_ms.load(std::memory_order_relaxed)) +
-            " gate_wait_exclusive_ms=" +
-            std::to_string(
-                sv.gate_wait_exclusive_ms.load(std::memory_order_relaxed)) +
-            " gate_busy_shared=" +
-            std::to_string(
-                sv.gate_busy_shared.load(std::memory_order_relaxed)) +
-            " gate_busy_exclusive=" +
-            std::to_string(
-                sv.gate_busy_exclusive.load(std::memory_order_relaxed)));
-      })));
-
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
-      "tip_server_stats", {s}, TypeId::kInt,
-      [db](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
-        const ServerStatsCounters& sv = db->server_stats();
-        const std::string counter = ToLowerAscii(a[0].string_value());
-        uint64_t value;
-        if (counter == "sessions_active") {
-          value = sv.sessions_active.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_peak") {
-          value = sv.sessions_peak.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_total") {
-          value = sv.sessions_total.load(std::memory_order_relaxed);
-        } else if (counter == "sessions_rejected") {
-          value = sv.sessions_rejected.load(std::memory_order_relaxed);
-        } else if (counter == "statements_served") {
-          value = sv.statements_served.load(std::memory_order_relaxed);
-        } else if (counter == "bytes_in") {
-          value = sv.bytes_in.load(std::memory_order_relaxed);
-        } else if (counter == "bytes_out") {
-          value = sv.bytes_out.load(std::memory_order_relaxed);
-        } else if (counter == "drains") {
-          value = sv.drains.load(std::memory_order_relaxed);
-        } else if (counter == "session_aborts") {
-          value = sv.session_aborts.load(std::memory_order_relaxed);
-        } else if (counter == "cancels_received") {
-          value = sv.cancels_received.load(std::memory_order_relaxed);
-        } else if (counter == "idle_timeouts") {
-          value = sv.idle_timeouts.load(std::memory_order_relaxed);
-        } else if (counter == "wire_faults") {
-          value = sv.wire_faults.load(std::memory_order_relaxed);
-        } else if (counter == "gate_shared") {
-          value = sv.gate_shared.load(std::memory_order_relaxed);
-        } else if (counter == "gate_exclusive") {
-          value = sv.gate_exclusive.load(std::memory_order_relaxed);
-        } else if (counter == "gate_upgrades") {
-          value = sv.gate_upgrades.load(std::memory_order_relaxed);
-        } else if (counter == "gate_wait_shared_ms") {
-          value = sv.gate_wait_shared_ms.load(std::memory_order_relaxed);
-        } else if (counter == "gate_wait_exclusive_ms") {
-          value = sv.gate_wait_exclusive_ms.load(std::memory_order_relaxed);
-        } else if (counter == "gate_busy_shared") {
-          value = sv.gate_busy_shared.load(std::memory_order_relaxed);
-        } else if (counter == "gate_busy_exclusive") {
-          value = sv.gate_busy_exclusive.load(std::memory_order_relaxed);
-        } else {
-          return Status::InvalidArgument("unknown server counter '" + counter +
-                                         "'");
-        }
-        return Datum::Int(static_cast<int64_t>(value));
-      })));
-  return Status::OK();
-}
-
 }  // namespace
 
 Status RegisterBuiltins(Database* db) {
   TIP_RETURN_IF_ERROR(RegisterArithmetic(db));
   TIP_RETURN_IF_ERROR(RegisterCasts(db));
   TIP_RETURN_IF_ERROR(RegisterAggregates(db));
-  TIP_RETURN_IF_ERROR(RegisterIndexStats(db));
-  TIP_RETURN_IF_ERROR(RegisterGuardStats(db));
-  TIP_RETURN_IF_ERROR(RegisterWalStats(db));
-  TIP_RETURN_IF_ERROR(RegisterPlanStats(db));
-  TIP_RETURN_IF_ERROR(RegisterIntegrityStats(db));
-  TIP_RETURN_IF_ERROR(RegisterServerStats(db));
+  TIP_RETURN_IF_ERROR(RegisterStats(db));
+  TIP_RETURN_IF_ERROR(RegisterSleep(db));
+  TIP_RETURN_IF_ERROR(RegisterDurability(db));
+  TIP_RETURN_IF_ERROR(RegisterIntegrity(db));
   return Status::OK();
 }
 

@@ -569,127 +569,6 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         if (line.empty()) continue;
         result.rows.push_back(Row{Datum::String(std::string(line))});
       }
-      // Lifecycle events observed this session, appended only once any
-      // exist so plans from untroubled sessions are unchanged.
-      const uint64_t timeouts =
-          guard_events_.timeouts.load(std::memory_order_relaxed);
-      const uint64_t cancels =
-          guard_events_.cancels.load(std::memory_order_relaxed);
-      const uint64_t oom = guard_events_.oom.load(std::memory_order_relaxed);
-      const uint64_t fallbacks =
-          guard_events_.parallel_fallbacks.load(std::memory_order_relaxed);
-      if (timeouts + cancels + oom + fallbacks > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "GuardStats(timeouts=" + std::to_string(timeouts) +
-            " cancels=" + std::to_string(cancels) +
-            " oom=" + std::to_string(oom) +
-            " parallel_fallbacks=" + std::to_string(fallbacks) + ")")});
-      }
-      // Plan-cache counters, appended only once the cache has seen
-      // traffic so plans from untouched sessions are unchanged.
-      const auto& pc = plan_cache_stats_;
-      const uint64_t pc_hits = pc.hits.load(std::memory_order_relaxed);
-      const uint64_t pc_misses = pc.misses.load(std::memory_order_relaxed);
-      const uint64_t pc_inval =
-          pc.invalidations.load(std::memory_order_relaxed);
-      const uint64_t pc_evict = pc.evictions.load(std::memory_order_relaxed);
-      if (pc_hits + pc_misses + pc_inval + pc_evict > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "PlanCacheStats(hits=" + std::to_string(pc_hits) +
-            " misses=" + std::to_string(pc_misses) +
-            " invalidations=" + std::to_string(pc_inval) +
-            " evictions=" + std::to_string(pc_evict) +
-            " entries=" + std::to_string(plan_cache_entries()) + ")")});
-      }
-      // Durability counters, present only once a WAL is attached so
-      // plans from non-durable sessions are unchanged.
-      if (wal_ != nullptr) {
-        const auto& d = durability_;
-        result.rows.push_back(Row{Datum::String(
-            "WalStats(mode=" + std::string(WalModeName(wal_mode_)) + " " +
-            wal_->stats().ToString() + " next_lsn=" +
-            std::to_string(wal_->next_lsn()) + " checkpoints=" +
-            std::to_string(d.checkpoints.load(std::memory_order_relaxed)) +
-            " recoveries=" +
-            std::to_string(d.recoveries_run.load(std::memory_order_relaxed)) +
-            " replayed=" +
-            std::to_string(
-                d.records_replayed.load(std::memory_order_relaxed)) +
-            " torn_tails=" +
-            std::to_string(
-                d.torn_tail_truncations.load(std::memory_order_relaxed)) +
-            " txns_committed=" +
-            std::to_string(d.txns_committed.load(std::memory_order_relaxed)) +
-            " txns_rolled_back=" +
-            std::to_string(
-                d.txns_rolled_back.load(std::memory_order_relaxed)) +
-            " txn_records_discarded=" +
-            std::to_string(
-                d.txn_records_discarded.load(std::memory_order_relaxed)) +
-            ")")});
-      }
-      // Integrity counters, appended only once a scrub ran or a table
-      // sits in quarantine so untroubled sessions are unchanged.
-      const uint64_t scrubs =
-          integrity_.scrubs_run.load(std::memory_order_relaxed);
-      const uint64_t checked =
-          integrity_.objects_checked.load(std::memory_order_relaxed);
-      const uint64_t found =
-          integrity_.corruptions_found.load(std::memory_order_relaxed);
-      const uint64_t quarantined = catalog_.quarantine_count();
-      const uint64_t ticks =
-          integrity_.scrub_ticks.load(std::memory_order_relaxed);
-      if (scrubs + checked + found + quarantined + ticks > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "IntegrityStats(scrubs=" + std::to_string(scrubs) +
-            " objects_checked=" + std::to_string(checked) +
-            " corruptions_found=" + std::to_string(found) +
-            " quarantined=" + std::to_string(quarantined) +
-            " scrub_ticks=" + std::to_string(ticks) + ")")});
-      }
-      // Server front-end counters, appended only once the TCP server
-      // has seen traffic so embedded-only sessions are unchanged.
-      const ServerStatsCounters& sv = server_stats_;
-      if (sv.total() > 0) {
-        result.rows.push_back(Row{Datum::String(
-            "ServerStats(active=" +
-            std::to_string(
-                sv.sessions_active.load(std::memory_order_relaxed)) +
-            " peak=" +
-            std::to_string(sv.sessions_peak.load(std::memory_order_relaxed)) +
-            " total=" +
-            std::to_string(sv.sessions_total.load(std::memory_order_relaxed)) +
-            " rejected=" +
-            std::to_string(
-                sv.sessions_rejected.load(std::memory_order_relaxed)) +
-            " statements=" +
-            std::to_string(
-                sv.statements_served.load(std::memory_order_relaxed)) +
-            " bytes_in=" +
-            std::to_string(sv.bytes_in.load(std::memory_order_relaxed)) +
-            " bytes_out=" +
-            std::to_string(sv.bytes_out.load(std::memory_order_relaxed)) +
-            " drains=" +
-            std::to_string(sv.drains.load(std::memory_order_relaxed)) +
-            " session_aborts=" +
-            std::to_string(
-                sv.session_aborts.load(std::memory_order_relaxed)) +
-            " gate_shared=" +
-            std::to_string(sv.gate_shared.load(std::memory_order_relaxed)) +
-            " gate_exclusive=" +
-            std::to_string(
-                sv.gate_exclusive.load(std::memory_order_relaxed)) +
-            " gate_upgrades=" +
-            std::to_string(
-                sv.gate_upgrades.load(std::memory_order_relaxed)) +
-            " gate_busy_shared=" +
-            std::to_string(
-                sv.gate_busy_shared.load(std::memory_order_relaxed)) +
-            " gate_busy_exclusive=" +
-            std::to_string(
-                sv.gate_busy_exclusive.load(std::memory_order_relaxed)) +
-            ")")});
-      }
       return result;
     }
 
@@ -923,8 +802,7 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         result.message = "SET HASH_JOIN";
         return result;
       }
-      if (stmt.option == "interval_join" ||
-          stmt.option == "interval_index") {
+      if (stmt.option == "interval_join") {
         TIP_ASSIGN_OR_RETURN(enable_interval_join_, ParseOnOff(word));
         result.message = "SET INTERVAL_JOIN";
         return result;

@@ -72,8 +72,7 @@ struct RecoveryReport {
   std::vector<CorruptionManifestEntry> manifest;
 };
 
-/// Durability counters, surfaced in SQL as tip_wal_stats() and in
-/// EXPLAIN output (same shape as tip_index_stats / tip_guard_stats).
+/// Durability counters, surfaced in SQL as tip_wal_stats().
 struct DurabilityStats {
   WalStatsSnapshot wal;  // append-path counters from the live WAL
   uint64_t wal_next_lsn = 0;  // the LSN the next append gets (0: no WAL)
@@ -86,8 +85,7 @@ struct DurabilityStats {
   uint64_t txn_records_discarded = 0;  // by recovery, uncommitted/aborted
 };
 
-/// Integrity counters, surfaced in SQL as tip_health() and in EXPLAIN
-/// as IntegrityStats(...).
+/// Integrity counters, surfaced in SQL as tip_health().
 struct IntegrityStats {
   uint64_t scrubs_run = 0;         // CHECK TABLE/DATABASE statements
   uint64_t objects_checked = 0;    // tables + WAL scans across all scrubs
@@ -97,8 +95,7 @@ struct IntegrityStats {
 };
 
 /// Counters for the multi-session server front-end (src/server), owned
-/// by the Database so the SQL observability surface — tip_server_stats()
-/// and EXPLAIN's ServerStats row — works identically whether the
+/// by the Database so tip_server_stats() works identically whether the
 /// statement arrives embedded or over the wire. The server (tipd) bumps
 /// them; any session may read them concurrently, hence atomics.
 struct ServerStatsCounters {
@@ -118,19 +115,12 @@ struct ServerStatsCounters {
   std::atomic<uint64_t> gate_shared{0};       // shared acquisitions
   std::atomic<uint64_t> gate_exclusive{0};    // exclusive acquisitions
   std::atomic<uint64_t> gate_upgrades{0};     // shared→exclusive upgrades
-  std::atomic<uint64_t> gate_wait_shared_ms{0};
-  std::atomic<uint64_t> gate_wait_exclusive_ms{0};
+  /// Time spent waiting for the gate, in microseconds so short waits
+  /// are not truncated away; tip_server_stats() reports milliseconds.
+  std::atomic<uint64_t> gate_wait_shared_us{0};
+  std::atomic<uint64_t> gate_wait_exclusive_us{0};
   std::atomic<uint64_t> gate_busy_shared{0};     // "server busy" (shared)
   std::atomic<uint64_t> gate_busy_exclusive{0};  // "server busy" (excl.)
-
-  /// Gates the EXPLAIN ServerStats row on "a server has ever touched
-  /// this database" — deliberately not a sum over every counter.
-  uint64_t total() const {
-    return sessions_total.load(std::memory_order_relaxed) +
-           sessions_rejected.load(std::memory_order_relaxed) +
-           statements_served.load(std::memory_order_relaxed) +
-           drains.load(std::memory_order_relaxed);
-  }
 };
 
 /// Host parameters for a statement (`:name` placeholders).
@@ -462,12 +452,12 @@ class Database {
   /// with writers, like any statement.
   Result<std::string> ScrubTick();
 
-  /// Counters for tip_health() / EXPLAIN IntegrityStats(...).
+  /// Counters for tip_health().
   IntegrityStats integrity_stats() const;
 
-  /// Counters for tip_server_stats() / EXPLAIN ServerStats(...). The
-  /// mutable overload is the server front-end's hook; everything else
-  /// should treat them as read-only.
+  /// Counters for tip_server_stats(). The mutable overload is the
+  /// server front-end's hook; everything else should treat them as
+  /// read-only.
   ServerStatsCounters& server_stats() { return server_stats_; }
   const ServerStatsCounters& server_stats() const { return server_stats_; }
 
@@ -645,7 +635,7 @@ class Database {
   std::string durable_dir_;
   std::unique_ptr<Wal> wal_;
   /// Atomic for the same reason as the session settings above:
-  /// tip_wal_stats()/EXPLAIN format the mode from reader threads.
+  /// tip_wal_stats() formats the mode from reader threads.
   std::atomic<WalMode> wal_mode_{WalMode::kGroup};
   std::atomic<uint64_t> wal_group_size_{Wal::kDefaultGroupRecords};
   /// True while AttachDurableDir restores state: suppresses re-logging
@@ -654,8 +644,8 @@ class Database {
   /// CREATE FUNCTION text by function name, carried in the checkpoint
   /// metadata because snapshots store only tables.
   std::map<std::string, std::string> sql_function_ddl_;
-  /// Atomics, not plain counters: tip_wal_stats() and EXPLAIN read them
-  /// from concurrent read-only sessions while tip_checkpoint() or a
+  /// Atomics, not plain counters: tip_wal_stats() reads them from
+  /// concurrent read-only sessions while tip_checkpoint() or a
   /// commit bumps them.
   struct DurabilityCounters {
     std::atomic<uint64_t> checkpoints{0};

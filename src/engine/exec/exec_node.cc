@@ -96,7 +96,7 @@ void IntervalScanNode::Explain(int depth, std::string* out) const {
       table_->IntervalIndexStats(column_);
   if (stats.has_value()) {
     out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-    out->append("IndexStats(" + stats->ToString() + ")\n");
+    out->append("IndexStats(" + FormatMetrics(IndexMetrics(*stats)) + ")\n");
   }
 }
 
@@ -389,7 +389,7 @@ void IntervalJoinNode::Explain(int depth, std::string* out) const {
       right_table_->IntervalIndexStats(right_column_);
   if (stats.has_value()) {
     out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-    out->append("IndexStats(" + stats->ToString() + ")\n");
+    out->append("IndexStats(" + FormatMetrics(IndexMetrics(*stats)) + ")\n");
   }
 }
 

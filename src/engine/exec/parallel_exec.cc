@@ -540,7 +540,7 @@ void ParallelIntervalJoinNode::Explain(int depth, std::string* out) const {
       right_table_->IntervalIndexStats(right_column_);
   if (stats.has_value()) {
     AppendIndent(depth + 1, out);
-    out->append("IndexStats(" + stats->ToString() + ")\n");
+    out->append("IndexStats(" + FormatMetrics(IndexMetrics(*stats)) + ")\n");
   }
 }
 

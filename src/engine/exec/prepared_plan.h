@@ -20,8 +20,8 @@
 namespace tip::engine {
 
 /// Counters for the prepared-statement / plan-cache layer, surfaced in
-/// SQL as tip_plan_stats() and appended to EXPLAIN output. Atomics:
-/// concurrent read-only sessions bump them while stats readers poll.
+/// SQL as tip_plan_stats(). Atomics: concurrent read-only sessions bump
+/// them while stats readers poll.
 struct PlanCacheStats {
   /// Executions that reused a cached operator tree.
   std::atomic<uint64_t> hits{0};

@@ -9,12 +9,12 @@
 
 namespace tip::engine {
 
-std::string IndexStatsSnapshot::ToString() const {
-  return "absolute_builds=" + std::to_string(absolute_builds) +
-         " overlay_builds=" + std::to_string(overlay_builds) +
-         " probes=" + std::to_string(probes) +
-         " rows_scanned=" + std::to_string(rows_scanned) +
-         " rows_returned=" + std::to_string(rows_returned);
+Metrics IndexMetrics(const IndexStatsSnapshot& stats) {
+  return {{"absolute_builds", stats.absolute_builds},
+          {"overlay_builds", stats.overlay_builds},
+          {"probes", stats.probes},
+          {"rows_scanned", stats.rows_scanned},
+          {"rows_returned", stats.rows_returned}};
 }
 
 IndexStatsSnapshot IndexStats::Snapshot() const {

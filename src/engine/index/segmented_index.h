@@ -12,6 +12,7 @@
 #include "common/status.h"
 #include "core/tx_context.h"
 #include "engine/index/interval_index.h"
+#include "engine/metrics.h"
 #include "engine/storage/heap_table.h"
 #include "engine/types/datum.h"
 
@@ -61,11 +62,11 @@ struct IndexStatsSnapshot {
   uint64_t probes = 0;           // FindOverlapping/FindStabbing calls
   uint64_t rows_scanned = 0;     // heap rows examined during builds
   uint64_t rows_returned = 0;    // candidate row ids produced by probes
-
-  /// `absolute_builds=1 overlay_builds=0 probes=3 ...` — the format
-  /// tip_index_stats() returns and EXPLAIN prints.
-  std::string ToString() const;
 };
+
+/// The index counter list: tip_index_stats() and EXPLAIN's per-node
+/// IndexStats(...) row are both generated from it.
+Metrics IndexMetrics(const IndexStatsSnapshot& stats);
 
 /// Monotonic per-index counters. Probes run outside the rebuild mutex,
 /// so the counters are atomics; rebuild counters reuse them for

@@ -65,14 +65,6 @@ std::string_view WalModeName(WalMode mode) {
   return "?";
 }
 
-std::string WalStatsSnapshot::ToString() const {
-  return "records=" + std::to_string(records_appended) +
-         " bytes=" + std::to_string(bytes_written) +
-         " fsyncs=" + std::to_string(fsyncs) +
-         " rotations=" + std::to_string(rotations) +
-         " max_batch=" + std::to_string(max_batch_records);
-}
-
 Wal::Wal(std::string path, int fd, uint64_t next_lsn, uint64_t size)
     : path_(std::move(path)), fd_(fd), next_lsn_(next_lsn), size_(size) {}
 

@@ -50,8 +50,7 @@ struct WalRecord {
   std::string body;
 };
 
-/// Counters the append path maintains, surfaced via tip_wal_stats()
-/// and EXPLAIN.
+/// Counters the append path maintains, surfaced via tip_wal_stats().
 struct WalStatsSnapshot {
   uint64_t records_appended = 0;
   uint64_t bytes_written = 0;
@@ -60,7 +59,6 @@ struct WalStatsSnapshot {
   /// Largest number of records covered by one fsync (the group-commit
   /// batch size actually achieved).
   uint64_t max_batch_records = 0;
-  std::string ToString() const;
 };
 
 /// A point in the log that ResetToMark can rewind to. Valid only while

@@ -338,9 +338,9 @@ void Server::ReapDoneSessions() {
 
 namespace {
 
-uint64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
+uint64_t ElapsedUs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
 }
@@ -370,7 +370,7 @@ Status Server::AcquireShared(Session* session, int wait_ms) {
   ++readers_;
   lock.unlock();
   stats.gate_shared.fetch_add(1, std::memory_order_relaxed);
-  stats.gate_wait_shared_ms.fetch_add(ElapsedMs(start),
+  stats.gate_wait_shared_us.fetch_add(ElapsedUs(start),
                                       std::memory_order_relaxed);
   session->gate_mode = GateMode::kShared;
   return Status::OK();
@@ -395,7 +395,7 @@ Status Server::AcquireExclusive(Session* session, int wait_ms) {
   writer_ = session->id;
   lock.unlock();
   stats.gate_exclusive.fetch_add(1, std::memory_order_relaxed);
-  stats.gate_wait_exclusive_ms.fetch_add(ElapsedMs(start),
+  stats.gate_wait_exclusive_us.fetch_add(ElapsedUs(start),
                                          std::memory_order_relaxed);
   session->gate_mode = GateMode::kExclusive;
   return Status::OK();
@@ -433,7 +433,7 @@ Status Server::UpgradeToExclusive(Session* session, int wait_ms) {
   lock.unlock();
   stats.gate_upgrades.fetch_add(1, std::memory_order_relaxed);
   stats.gate_exclusive.fetch_add(1, std::memory_order_relaxed);
-  stats.gate_wait_exclusive_ms.fetch_add(ElapsedMs(start),
+  stats.gate_wait_exclusive_us.fetch_add(ElapsedUs(start),
                                          std::memory_order_relaxed);
   session->gate_mode = GateMode::kExclusive;
   return Status::OK();

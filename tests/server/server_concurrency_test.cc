@@ -347,6 +347,48 @@ TEST_F(ServerConcurrencyTest, GateCountersObservable) {
       Exec(conn.get(), "SELECT tip_server_stats()").GetString(0, 0);
   EXPECT_NE(formatted.find("gate_shared="), std::string::npos) << formatted;
   EXPECT_NE(formatted.find("gate_upgrades="), std::string::npos) << formatted;
+
+  // Readers queue behind short writer holds. Each hold is well under a
+  // millisecond, so the waits only add up if every acquisition's wait
+  // is kept at a finer grain than the milliseconds reported.
+  const int64_t waited_before =
+      Exec(conn.get(), "SELECT tip_server_stats('gate_wait_shared_ms')")
+          .GetInt(0, 0);
+  std::vector<std::unique_ptr<RemoteConnection>> readers;
+  for (int i = 0; i < 3; ++i) {
+    readers.push_back(Connect());
+    ASSERT_NE(readers.back(), nullptr);
+  }
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (const std::unique_ptr<RemoteConnection>& reader : readers) {
+    threads.emplace_back([&stop, r = reader.get()] {
+      while (!stop.load()) Exec(r, "SELECT count(*) FROM t");
+    });
+  }
+  using Clock = std::chrono::steady_clock;
+  Clock::duration held{0};
+  for (int i = 0; i < 40; ++i) {
+    EXPECT_TRUE(conn->Begin().ok());
+    // The INSERT upgrades to exclusive: from here until COMMIT every
+    // reader's next SELECT waits at the gate.
+    Exec(conn.get(), "INSERT INTO t VALUES (2)");
+    const Clock::time_point start = Clock::now();
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    held += Clock::now() - start;
+    EXPECT_TRUE(conn->Commit().ok());
+  }
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+  const int64_t waited =
+      Exec(conn.get(), "SELECT tip_server_stats('gate_wait_shared_ms')")
+          .GetInt(0, 0) -
+      waited_before;
+  const int64_t held_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(held).count();
+  // Three readers queue behind each hold; asking for half of one
+  // reader's share leaves room for a slow machine.
+  EXPECT_GE(waited, held_ms / 2) << "held " << held_ms << "ms";
 }
 
 }  // namespace

@@ -15,11 +15,14 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "client/remote_connection.h"
 #include "common/fault_injection.h"
+#include "common/string_util.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
 #include "engine/storage/wire_format.h"
@@ -537,24 +540,105 @@ TEST_F(ServerTest, ServerStatsCountTheTraffic) {
       Exec(a.get(), "SELECT tip_server_stats('bytes_out')").GetInt(0, 0), 0);
 
   client::ResultSet formatted = Exec(a.get(), "SELECT tip_server_stats()");
-  EXPECT_NE(formatted.GetString(0, 0).find("active=2"),
+  EXPECT_NE(formatted.GetString(0, 0).find("sessions_active=2"),
             std::string::npos)
       << formatted.GetString(0, 0);
 
-  // Once the server has traffic, EXPLAIN's stats block reports it too.
+  // Server traffic does not leak into plans: EXPLAIN shows no
+  // database-wide counter row.
   client::ResultSet explain = Exec(a.get(), "EXPLAIN SELECT * FROM t");
-  bool found = false;
+  ASSERT_GT(explain.row_count(), 0u);
   for (size_t i = 0; i < explain.row_count(); ++i) {
-    if (explain.GetText(i, 0).find("ServerStats(") != std::string::npos) {
-      found = true;
-    }
+    EXPECT_EQ(explain.GetText(i, 0).find("ServerStats("), std::string::npos)
+        << explain.GetText(i, 0);
   }
-  EXPECT_TRUE(found);
 
   Result<client::ResultSet> unknown =
       a->Execute("SELECT tip_server_stats('no_such_counter')");
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Every stats routine is generated from one counter list per
+// subsystem: each name its formatted line prints is a name its
+// one-counter overload accepts (in any case), and an unknown name is
+// InvalidArgument.
+TEST_F(ServerTest, StatsRoutinesAcceptEveryNameTheyPrint) {
+  StartServer();
+  std::unique_ptr<RemoteConnection> conn = Connect();
+  ASSERT_NE(conn, nullptr);
+  Exec(conn.get(), "CREATE TABLE rx (patient INT, valid Element)");
+  Exec(conn.get(), "INSERT INTO rx VALUES (1, '{[1999-01-01, NOW]}')");
+  Exec(conn.get(), "CREATE INDEX rx_valid ON rx (valid) USING interval");
+  Exec(conn.get(),
+       "SELECT patient FROM rx WHERE overlaps(valid, "
+       "'{[1999-06-01, 1999-07-01]}'::Element)");
+
+  // Each routine with the leading arguments of its two overloads.
+  const std::pair<std::string, std::string> routines[] = {
+      {"tip_index_stats", "'rx', 'rx_valid'"},
+      {"tip_guard_stats", ""},
+      {"tip_wal_stats", ""},
+      {"tip_plan_stats", ""},
+      {"tip_health", ""},
+      {"tip_server_stats", ""}};
+  for (const auto& [routine, args] : routines) {
+    auto by_name = [&](const std::string& name) {
+      return conn->Execute("SELECT " + routine + "(" + args +
+                           (args.empty() ? "'" : ", '") + name + "')");
+    };
+    const std::string line =
+        Exec(conn.get(), "SELECT " + routine + "(" + args + ")")
+            .GetString(0, 0);
+    size_t counters = 0;
+    for (std::string_view token : SplitString(line, ' ')) {
+      const size_t eq = token.find('=');
+      if (eq == std::string_view::npos) continue;
+      const std::string name(token.substr(0, eq));
+      const std::string_view value = token.substr(eq + 1);
+      if (value.empty() ||
+          value.find_first_not_of("0123456789") != std::string_view::npos) {
+        // The WAL mode word is the one non-counter `name=` field.
+        EXPECT_EQ(routine + "." + name, "tip_wal_stats.mode") << line;
+        continue;
+      }
+      ++counters;
+      Result<client::ResultSet> exact = by_name(name);
+      EXPECT_TRUE(exact.ok()) << routine << "('" << name
+                              << "'): " << exact.status().ToString();
+      Result<client::ResultSet> upper = by_name(ToUpperAscii(name));
+      EXPECT_TRUE(upper.ok()) << routine << "('" << ToUpperAscii(name)
+                              << "'): " << upper.status().ToString();
+    }
+    EXPECT_GT(counters, 0u) << line;
+    Result<client::ResultSet> unknown = by_name("no_such_counter");
+    ASSERT_FALSE(unknown.ok()) << routine;
+    EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument)
+        << routine << ": " << unknown.status().ToString();
+  }
+
+  // The 17 counters the benchmark reads around every run
+  // (tipbench/workloads.cc) keep their names.
+  client::ResultSet bench = Exec(
+      conn.get(),
+      "SELECT tip_index_stats('rx', 'rx_valid', 'probes'), "
+      "tip_index_stats('rx', 'rx_valid', 'rows_scanned'), "
+      "tip_index_stats('rx', 'rx_valid', 'rows_returned'), "
+      "tip_index_stats('rx', 'rx_valid', 'overlay_builds'), "
+      "tip_index_stats('rx', 'rx_valid', 'absolute_builds'), "
+      "tip_wal_stats('bytes_written'), tip_wal_stats('fsyncs'), "
+      "tip_plan_stats('hits'), tip_plan_stats('misses'), "
+      "tip_server_stats('statements_served'), "
+      "tip_server_stats('bytes_out'), "
+      "tip_server_stats('gate_shared'), "
+      "tip_server_stats('gate_exclusive'), "
+      "tip_server_stats('gate_wait_shared_ms'), "
+      "tip_server_stats('gate_wait_exclusive_ms'), "
+      "tip_server_stats('gate_busy_shared'), "
+      "tip_server_stats('gate_busy_exclusive')");
+  ASSERT_EQ(bench.row_count(), 1u);
+  EXPECT_EQ(bench.column_count(), 17u);
+  EXPECT_GE(bench.GetInt(0, 0), 1);  // the probe above
 }
 
 TEST_F(ServerTest, RejectionsShowUpInStats) {

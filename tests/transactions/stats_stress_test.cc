@@ -1,5 +1,5 @@
-// Stats-reader stress: tip_wal_stats() / tip_guard_stats() / EXPLAIN
-// counter reads run from reader threads while one writer thread drives
+// Stats-reader stress: every stats routine's formatted line and some
+// by-name counters are read from reader threads while one writer drives
 // transactions, checkpoints and guard trips on the same Database. Run
 // under TSan (ctest -L concurrency in a -DTIP_SANITIZE=thread build)
 // this is the regression test for unsynchronized counter access: the
@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -34,10 +35,10 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
 
-  // Readers touch only the observability surface: stats builtins and
-  // EXPLAIN over a table-free SELECT. Table data stays writer-private
-  // (the engine's contract), the counters are the shared state under
-  // test.
+  // Readers touch only the observability surface: the stats builtins,
+  // whose counter lists all read live counters. Table data stays
+  // writer-private (the engine's contract), the counters are the shared
+  // state under test.
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
     readers.emplace_back([&db, &stop, &reads] {
@@ -47,11 +48,14 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
           "SELECT tip_wal_stats('checkpoints')",
           "SELECT tip_guard_stats()",
           "SELECT tip_guard_stats('timeouts')",
-          "EXPLAIN SELECT 1",
+          "SELECT tip_plan_stats()",
+          "SELECT tip_health()",
+          "SELECT tip_server_stats()",
       };
       size_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        Result<ResultSet> result = db->Execute(queries[i++ % 6]);
+        Result<ResultSet> result =
+            db->Execute(queries[i++ % std::size(queries)]);
         // The canceller may legitimately interrupt a read; anything
         // else is a real failure.
         EXPECT_TRUE(result.ok() ||

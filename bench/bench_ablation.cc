@@ -1,4 +1,4 @@
-// EXP-ABLATION: measurements behind four design choices DESIGN.md
+// EXP-ABLATION: measurements behind five design choices DESIGN.md
 // calls out.
 //
 // (a) Hash join in the engine substrate: the paper's Q2-style join with
@@ -15,6 +15,11 @@
 // (d) Index maintenance under writes: a window probe right after one
 //     INSERT replays the changed row into the index's delta instead of
 //     rescanning the table. Measures that probe against a warm one.
+// (e) Borrowed evaluation: expressions and routines read their operands
+//     in place and all-absolute Elements are not re-grounded. Measures
+//     the per-row cost of a string-equality filter (against a plain
+//     scan), of one Element routine call per row, and of a window
+//     query per interval-index candidate.
 
 #include <algorithm>
 #include <cinttypes>
@@ -172,11 +177,75 @@ int main() {
                 "absolute builds", builds, kRounds);
   }
 
+  // -- (e) per-row cost of evaluation -----------------------------------------
+  constexpr int kEvalRuns = 40;
+  std::printf("\nEXP-ABLATION (e): cost per row of evaluation, 20,000 rows "
+              "(min of %d runs)\n", kEvalRuns);
+  {
+    std::unique_ptr<client::Connection> conn = bench::OpenTip();
+    engine::Database& db = conn->database();
+    // The benchmark's prescription table: rows/8 patients, 10 drugs.
+    workload::MedicalConfig config;
+    config.rows = 20000;
+    config.num_patients = static_cast<int>(config.rows / 8) + 1;
+    config.num_drugs = 10;
+    bench::CheckResult(workload::SetUpPrescriptionTable(
+                           &db, conn->tip_types(), config, "rx"),
+                       "setup");
+    bench::MustExec(&db,
+                    "CREATE INDEX rx_valid ON rx (valid) USING interval");
+    auto min_ms = [&](const char* sql, const engine::Params& params) {
+      double best = 0;
+      for (int i = 0; i < kEvalRuns; ++i) {
+        const double ms = bench::TimeMs([&] {
+          bench::CheckResult(db.Execute(sql, params), sql);
+        });
+        if (i == 0 || ms < best) best = ms;
+      }
+      return best;
+    };
+    const double rows = static_cast<double>(config.rows);
+    const engine::Params none;
+    const engine::Params patient = {
+        {"p", engine::Datum::String("patient0042")}};
+    const engine::Params window = {
+        {"w", datablade::MakeElement(
+                  conn->tip_types(),
+                  *Element::Parse("{[1995-03-01, 1995-08-27]}"))}};
+    const char* scan = "SELECT count(*) FROM rx";
+    const char* filter = "SELECT count(*) FROM rx WHERE patient = :p";
+    const char* length = "SELECT length(valid) FROM rx";
+    const char* probe = "SELECT count(*) FROM rx WHERE overlaps(valid, :w)";
+    const double scan_ms = min_ms(scan, none);
+    const double filter_ms = min_ms(filter, patient);
+    const double length_ms = min_ms(length, none);
+    auto returned = [&] {
+      return bench::MustExec(&db,
+                             "SELECT tip_index_stats('rx', 'rx_valid', "
+                             "'rows_returned')")
+          .rows[0][0]
+          .int_value();
+    };
+    const int64_t before = returned();
+    bench::CheckResult(db.Execute(probe, window), probe);
+    const double candidates = static_cast<double>(returned() - before);
+    const double probe_ms = min_ms(probe, window);
+    std::printf("%34s %10.1f ns/row\n", "count(*) scan", scan_ms * 1e6 / rows);
+    std::printf("%34s %10.1f ns/row\n", "WHERE patient = :p (over the scan)",
+                (filter_ms - scan_ms) * 1e6 / rows);
+    std::printf("%34s %10.1f ns/row\n", "SELECT length(valid)",
+                length_ms * 1e6 / rows);
+    std::printf("%34s %10.1f ns/candidate (%.0f candidates, %.3f ms)\n",
+                "180-day window overlaps(valid, :w)",
+                probe_ms * 1e6 / candidates, candidates, probe_ms);
+  }
+
   std::printf(
       "\nshape check: (a) hash join wins increasingly with scale;"
       "\n(b) a moving NOW pays the full index rebuild per query — the"
       "\ncost of correct NOW-relative indexing; (c) the canonical"
       "\nfast path skips the sort entirely; (d) a probe right after a"
-      "\nwrite costs about a warm probe, not a rebuild.\n");
+      "\nwrite costs about a warm probe, not a rebuild; (e) a filter or"
+      "\nroutine call costs tens to hundreds of ns per row, not µs.\n");
   return 0;
 }

@@ -73,6 +73,10 @@ class Chronon {
   friend auto operator<=>(const Chronon&, const Chronon&) = default;
 
  private:
+  // Instant stores a valid Chronon as its seconds and rebuilds it
+  // without the range check FromSeconds repeats.
+  friend class Instant;
+
   explicit Chronon(int64_t seconds) : seconds_(seconds) {}
 
   int64_t seconds_;

@@ -42,6 +42,75 @@ void CoalesceSorted(std::vector<GroundedPeriod>* periods) {
   periods->resize(out + 1);
 }
 
+// The endpoints of a canonical period, whichever representation holds
+// it: a GroundedPeriod, or a stored Period of an all-absolute Element.
+// The scans below are written once over both, so an absolute operand is
+// read in place while a NOW-relative one is grounded first.
+Chronon StartOf(const GroundedPeriod& p) { return p.start(); }
+Chronon EndOf(const GroundedPeriod& p) { return p.end(); }
+Chronon StartOf(const Period& p) { return p.start().chronon(); }
+Chronon EndOf(const Period& p) { return p.end().chronon(); }
+
+// True iff the canonical period lists `a` and `b` share a chronon.
+// Linear with early exit.
+template <typename A, typename B>
+bool CanonicalOverlaps(const std::vector<A>& a, const std::vector<B>& b) {
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (StartOf(a[i]) <= EndOf(b[j]) && StartOf(b[j]) <= EndOf(a[i])) {
+      return true;
+    }
+    if (EndOf(a[i]) < EndOf(b[j])) {
+      ++i;
+    } else {
+      ++j;
+    }
+  }
+  return false;
+}
+
+// True iff every chronon of `b` is in `a`. Linear.
+template <typename A, typename B>
+bool CanonicalContains(const std::vector<A>& a, const std::vector<B>& b) {
+  size_t i = 0;
+  for (const B& p : b) {
+    while (i < a.size() && EndOf(a[i]) < StartOf(p)) ++i;
+    if (i >= a.size() || StartOf(p) < StartOf(a[i]) ||
+        EndOf(a[i]) < EndOf(p)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// O(log n) membership test.
+template <typename A>
+bool CanonicalContainsChronon(const std::vector<A>& a, Chronon c) {
+  // Binary search for the first period whose end >= c.
+  auto it = std::lower_bound(
+      a.begin(), a.end(), c,
+      [](const A& p, Chronon value) { return EndOf(p) < value; });
+  return it != a.end() && StartOf(*it) <= c;
+}
+
+template <typename A>
+Span CanonicalDuration(const std::vector<A>& a) {
+  int64_t total = 0;
+  for (const A& p : a) total += EndOf(p).seconds() - StartOf(p).seconds() + 1;
+  return Span::FromSeconds(total);
+}
+
+// Calls `fn` with the canonical periods of `e` under `ctx`: the stored
+// periods themselves when `e` is all-absolute (FromPeriods made them
+// canonical), otherwise those of its grounding.
+template <typename Fn>
+auto WithCanonicalPeriods(const Element& e, const TxContext& ctx, Fn&& fn)
+    -> decltype(fn(e.periods())) {
+  if (e.is_absolute()) return fn(e.periods());
+  TIP_ASSIGN_OR_RETURN(GroundedElement g, e.Ground(ctx));
+  return fn(g.periods());
+}
+
 }  // namespace
 
 GroundedElement GroundedElement::FromPeriods(
@@ -143,41 +212,19 @@ GroundedElement GroundedElement::Difference(const GroundedElement& a,
 }
 
 bool GroundedElement::Overlaps(const GroundedElement& other) const {
-  size_t i = 0, j = 0;
-  while (i < periods_.size() && j < other.periods_.size()) {
-    if (periods_[i].Overlaps(other.periods_[j])) return true;
-    if (periods_[i].end() < other.periods_[j].end()) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
+  return CanonicalOverlaps(periods_, other.periods_);
 }
 
 bool GroundedElement::Contains(const GroundedElement& other) const {
-  size_t i = 0;
-  for (const GroundedPeriod& p : other.periods_) {
-    while (i < periods_.size() && periods_[i].end() < p.start()) ++i;
-    if (i >= periods_.size() || !periods_[i].Contains(p)) return false;
-  }
-  return true;
+  return CanonicalContains(periods_, other.periods_);
 }
 
 bool GroundedElement::Contains(Chronon c) const {
-  // Binary search for the first period whose end >= c.
-  auto it = std::lower_bound(
-      periods_.begin(), periods_.end(), c,
-      [](const GroundedPeriod& p, Chronon value) { return p.end() < value; });
-  return it != periods_.end() && it->Contains(c);
+  return CanonicalContainsChronon(periods_, c);
 }
 
 Span GroundedElement::TotalDuration() const {
-  int64_t total = 0;
-  for (const GroundedPeriod& p : periods_) {
-    total += p.Duration().seconds();
-  }
-  return Span::FromSeconds(total);
+  return CanonicalDuration(periods_);
 }
 
 GroundedPeriod GroundedElement::Extent() const {
@@ -349,59 +396,81 @@ Result<Element> ElementDifference(const Element& a, const Element& b,
 
 Result<bool> ElementOverlaps(const Element& a, const Element& b,
                              const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  TIP_ASSIGN_OR_RETURN(GroundedElement gb, b.Ground(ctx));
-  return ga.Overlaps(gb);
+  return WithCanonicalPeriods(a, ctx, [&](const auto& pa) {
+    return WithCanonicalPeriods(b, ctx, [&](const auto& pb) -> Result<bool> {
+      return CanonicalOverlaps(pa, pb);
+    });
+  });
 }
 
 Result<bool> ElementContains(const Element& a, const Element& b,
                              const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  TIP_ASSIGN_OR_RETURN(GroundedElement gb, b.Ground(ctx));
-  return ga.Contains(gb);
+  return WithCanonicalPeriods(a, ctx, [&](const auto& pa) {
+    return WithCanonicalPeriods(b, ctx, [&](const auto& pb) -> Result<bool> {
+      return CanonicalContains(pa, pb);
+    });
+  });
 }
 
 Result<bool> ElementContainsChronon(const Element& a, Chronon c,
                                     const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  return ga.Contains(c);
+  return WithCanonicalPeriods(a, ctx, [c](const auto& pa) -> Result<bool> {
+    return CanonicalContainsChronon(pa, c);
+  });
 }
 
 Result<Span> ElementLength(const Element& a, const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  return ga.TotalDuration();
+  return WithCanonicalPeriods(a, ctx, [](const auto& pa) -> Result<Span> {
+    return CanonicalDuration(pa);
+  });
 }
 
 Result<Chronon> ElementStart(const Element& a, const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  if (ga.IsEmpty()) {
-    return Status::InvalidArgument("start() of an empty Element");
-  }
-  return ga.periods().front().start();
+  return WithCanonicalPeriods(a, ctx, [](const auto& pa) -> Result<Chronon> {
+    if (pa.empty()) {
+      return Status::InvalidArgument("start() of an empty Element");
+    }
+    return StartOf(pa.front());
+  });
 }
 
 Result<Chronon> ElementEnd(const Element& a, const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  if (ga.IsEmpty()) {
-    return Status::InvalidArgument("end() of an empty Element");
-  }
-  return ga.periods().back().end();
+  return WithCanonicalPeriods(a, ctx, [](const auto& pa) -> Result<Chronon> {
+    if (pa.empty()) {
+      return Status::InvalidArgument("end() of an empty Element");
+    }
+    return EndOf(pa.back());
+  });
 }
 
 Result<GroundedPeriod> ElementFirst(const Element& a, const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  if (ga.IsEmpty()) {
-    return Status::InvalidArgument("first() of an empty Element");
-  }
-  return ga.periods().front();
+  return WithCanonicalPeriods(
+      a, ctx, [](const auto& pa) -> Result<GroundedPeriod> {
+        if (pa.empty()) {
+          return Status::InvalidArgument("first() of an empty Element");
+        }
+        return GroundedPeriod::Make(StartOf(pa.front()), EndOf(pa.front()));
+      });
 }
 
 Result<GroundedPeriod> ElementLast(const Element& a, const TxContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(GroundedElement ga, a.Ground(ctx));
-  if (ga.IsEmpty()) {
-    return Status::InvalidArgument("last() of an empty Element");
-  }
-  return ga.periods().back();
+  return WithCanonicalPeriods(
+      a, ctx, [](const auto& pa) -> Result<GroundedPeriod> {
+        if (pa.empty()) {
+          return Status::InvalidArgument("last() of an empty Element");
+        }
+        return GroundedPeriod::Make(StartOf(pa.back()), EndOf(pa.back()));
+      });
+}
+
+Result<GroundedPeriod> ElementExtent(const Element& a, const TxContext& ctx) {
+  return WithCanonicalPeriods(
+      a, ctx, [](const auto& pa) -> Result<GroundedPeriod> {
+        if (pa.empty()) {
+          return Status::InvalidArgument("extent() of an empty Element");
+        }
+        return GroundedPeriod::Make(StartOf(pa.front()), EndOf(pa.back()));
+      });
 }
 
 }  // namespace tip

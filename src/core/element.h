@@ -107,8 +107,10 @@ class Element {
   size_t size() const { return periods_.size(); }
   bool IsEmpty() const { return periods_.empty(); }
 
-  /// True iff no stored period has a NOW-relative endpoint (in which case
-  /// the stored form is canonical).
+  /// True iff the stored periods are all absolute and in canonical form,
+  /// so they are their own grounding under any NOW: routines read them
+  /// in place. False when a period has a NOW-relative endpoint, and for
+  /// an inverted absolute period stored verbatim (see FromPeriods).
   bool is_absolute() const { return absolute_canonical_; }
 
   /// Substitutes the transaction time for NOW in every period and
@@ -134,7 +136,11 @@ class Element {
 };
 
 /// Element-level routines with the paper's names and semantics. Each
-/// grounds its operands under `ctx` and returns an absolute result.
+/// returns an absolute result. Union, intersect and difference ground
+/// both operands under `ctx`; the predicates and accessors below them
+/// ground only a NOW-relative operand and read an all-absolute one's
+/// stored periods in place (the same answer: such an Element is its own
+/// grounding).
 Result<Element> ElementUnion(const Element& a, const Element& b,
                              const TxContext& ctx);
 Result<Element> ElementIntersect(const Element& a, const Element& b,
@@ -156,6 +162,8 @@ Result<Chronon> ElementEnd(const Element& a, const TxContext& ctx);
 /// First / last period in canonical order; fail on empty.
 Result<GroundedPeriod> ElementFirst(const Element& a, const TxContext& ctx);
 Result<GroundedPeriod> ElementLast(const Element& a, const TxContext& ctx);
+/// Bounding period [start of first, end of last]; fails on empty.
+Result<GroundedPeriod> ElementExtent(const Element& a, const TxContext& ctx);
 
 }  // namespace tip
 

@@ -6,12 +6,6 @@
 
 namespace tip {
 
-Chronon Instant::chronon() const {
-  assert(is_absolute());
-  // value_ was produced by a valid Chronon, so reconstruction succeeds.
-  return *Chronon::FromSeconds(value_);
-}
-
 Span Instant::offset() const {
   assert(is_now_relative());
   return Span::FromSeconds(value_);

@@ -1,6 +1,7 @@
 #ifndef TIP_CORE_INSTANT_H_
 #define TIP_CORE_INSTANT_H_
 
+#include <cassert>
 #include <string>
 #include <string_view>
 
@@ -35,7 +36,10 @@ class Instant {
   bool is_absolute() const { return !now_relative_; }
 
   /// The absolute chronon. Precondition: is_absolute().
-  Chronon chronon() const;
+  Chronon chronon() const {
+    assert(is_absolute());
+    return Chronon(value_);  // stored from a valid Chronon
+  }
   /// The offset from NOW. Precondition: is_now_relative().
   Span offset() const;
 

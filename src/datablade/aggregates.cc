@@ -25,8 +25,16 @@ class GroupUnionState final : public AggregateState {
   explicit GroupUnionState(const TipTypes* t) : t_(t) {}
 
   Status Step(const Datum& value, EvalContext& ctx) override {
-    TIP_ASSIGN_OR_RETURN(GroundedElement e,
-                         GetElement(value).Ground(ctx.tx));
+    const Element& element = GetElement(value);
+    if (element.is_absolute()) {
+      // Already its own grounding: append the stored periods directly.
+      for (const Period& p : element.periods()) {
+        TIP_ASSIGN_OR_RETURN(GroundedPeriod g, p.Ground(ctx.tx));
+        periods_.push_back(g);
+      }
+      return Status::OK();
+    }
+    TIP_ASSIGN_OR_RETURN(GroundedElement e, element.Ground(ctx.tx));
     periods_.insert(periods_.end(), e.periods().begin(), e.periods().end());
     return Status::OK();
   }

@@ -9,6 +9,7 @@ namespace internal {
 namespace {
 
 using engine::Datum;
+using engine::DatumRefs;
 using engine::EvalContext;
 using engine::Routine;
 using engine::RoutineFn;
@@ -34,24 +35,24 @@ Status RegisterArithmetic(engine::RoutineRegistry& reg, const TipTypes& t) {
   // describes.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "-", {t.chronon, t.chronon}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         return MakeSpan(t, GetChronon(a[0]).Since(GetChronon(a[1])));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "+", {t.chronon, t.span}, t.chronon,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon c, GetChronon(a[0]).Add(GetSpan(a[1])));
         return MakeChronon(t, c);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "+", {t.span, t.chronon}, t.chronon,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon c, GetChronon(a[1]).Add(GetSpan(a[0])));
         return MakeChronon(t, c);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "-", {t.chronon, t.span}, t.chronon,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon c,
                              GetChronon(a[0]).Subtract(GetSpan(a[1])));
         return MakeChronon(t, c);
@@ -61,26 +62,26 @@ Status RegisterArithmetic(engine::RoutineRegistry& reg, const TipTypes& t) {
   // NOW+1, not a fixed chronon.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "+", {t.instant, t.span}, t.instant,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Instant v, GetInstant(a[0]).Add(GetSpan(a[1])));
         return MakeInstant(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "+", {t.span, t.instant}, t.instant,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Instant v, GetInstant(a[1]).Add(GetSpan(a[0])));
         return MakeInstant(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "-", {t.instant, t.span}, t.instant,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Instant v,
                              GetInstant(a[0]).Subtract(GetSpan(a[1])));
         return MakeInstant(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "-", {t.instant, t.instant}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon x, GetInstant(a[0]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(Chronon y, GetInstant(a[1]).Ground(ctx.tx));
         return MakeSpan(t, x.Since(y));
@@ -89,51 +90,51 @@ Status RegisterArithmetic(engine::RoutineRegistry& reg, const TipTypes& t) {
   // Span arithmetic.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "+", {t.span, t.span}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v, GetSpan(a[0]).Add(GetSpan(a[1])));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "-", {t.span, t.span}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v, GetSpan(a[0]).Subtract(GetSpan(a[1])));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "*", {t.span, i}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v,
                              GetSpan(a[0]).Multiply(a[1].int_value()));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "*", {i, t.span}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v,
                              GetSpan(a[1]).Multiply(a[0].int_value()));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "/", {t.span, i}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v, GetSpan(a[0]).Divide(a[1].int_value()));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "/", {t.span, t.span}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(int64_t v,
                              GetSpan(a[0]).DivideBy(GetSpan(a[1])));
         return Datum::Int(v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "neg", {t.span}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         return MakeSpan(t, GetSpan(a[0]).Negate());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "abs", {t.span}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         return MakeSpan(t, GetSpan(a[0]).Abs());
       })));
   return Status::OK();
@@ -174,8 +175,7 @@ Status RegisterAllen(engine::RoutineRegistry& reg, const TipTypes& t) {
     }
     TIP_RETURN_IF_ERROR(reg.Register(Make(
         r.name, {t.period, t.period}, TypeId::kBool,
-        [relation](const std::vector<Datum>& a,
-                   EvalContext& ctx) -> Result<Datum> {
+        [relation](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
           TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                                GetPeriod(a[0]).Ground(ctx.tx));
           TIP_ASSIGN_OR_RETURN(GroundedPeriod y,
@@ -186,7 +186,7 @@ Status RegisterAllen(engine::RoutineRegistry& reg, const TipTypes& t) {
   // The classifying routine: allen(p, q) names the unique relation.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "allen", {t.period, t.period}, TypeId::kString,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                              GetPeriod(a[0]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(GroundedPeriod y,
@@ -198,7 +198,7 @@ Status RegisterAllen(engine::RoutineRegistry& reg, const TipTypes& t) {
   // Period predicates with the SQL-friendly inclusive semantics.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "overlaps", {t.period, t.period}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                              GetPeriod(a[0]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(GroundedPeriod y,
@@ -207,7 +207,7 @@ Status RegisterAllen(engine::RoutineRegistry& reg, const TipTypes& t) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.period, t.period}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                              GetPeriod(a[0]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(GroundedPeriod y,
@@ -216,28 +216,28 @@ Status RegisterAllen(engine::RoutineRegistry& reg, const TipTypes& t) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.period, t.chronon}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                              GetPeriod(a[0]).Ground(ctx.tx));
         return Datum::Bool(x.Contains(GetChronon(a[1])));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "duration", {t.period}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod x,
                              GetPeriod(a[0]).Ground(ctx.tx));
         return MakeSpan(t, x.Duration());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "period", {t.instant, t.instant}, t.period,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Period p, Period::Make(GetInstant(a[0]),
                                                     GetInstant(a[1])));
         return MakePeriod(t, p);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "shift", {t.period, t.span}, t.period,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         const Period& p = GetPeriod(a[0]);
         const Span& s = GetSpan(a[1]);
         TIP_ASSIGN_OR_RETURN(Instant start, p.start().Add(s));
@@ -267,8 +267,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
     BinaryElementFn fn = b.fn;
     TIP_RETURN_IF_ERROR(reg.Register(Make(
         b.name, {t.element, t.element}, t.element,
-        [t, fn](const std::vector<Datum>& a,
-                EvalContext& ctx) -> Result<Datum> {
+        [t, fn](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
           TIP_ASSIGN_OR_RETURN(Element out, fn(GetElement(a[0]),
                                                GetElement(a[1]), ctx.tx));
           return MakeElement(t, out);
@@ -276,7 +275,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
   }
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "overlaps", {t.element, t.element}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(bool v, ElementOverlaps(GetElement(a[0]),
                                                      GetElement(a[1]),
                                                      ctx.tx));
@@ -284,7 +283,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.element, t.element}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(bool v, ElementContains(GetElement(a[0]),
                                                      GetElement(a[1]),
                                                      ctx.tx));
@@ -292,7 +291,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.element, t.chronon}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(bool v,
                              ElementContainsChronon(GetElement(a[0]),
                                                     GetChronon(a[1]),
@@ -301,64 +300,61 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "length", {t.element}, t.span,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Span v, ElementLength(GetElement(a[0]),
                                                    ctx.tx));
         return MakeSpan(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "start", {t.element}, t.chronon,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon v, ElementStart(GetElement(a[0]),
                                                      ctx.tx));
         return MakeChronon(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "end", {t.element}, t.chronon,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon v, ElementEnd(GetElement(a[0]),
                                                    ctx.tx));
         return MakeChronon(t, v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "first", {t.element}, t.period,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod v,
                              ElementFirst(GetElement(a[0]), ctx.tx));
         return MakePeriod(t, Period::FromGrounded(v));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "last", {t.element}, t.period,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod v,
                              ElementLast(GetElement(a[0]), ctx.tx));
         return MakePeriod(t, Period::FromGrounded(v));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "extent", {t.element}, t.period,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
-        TIP_ASSIGN_OR_RETURN(GroundedElement e,
-                             GetElement(a[0]).Ground(ctx.tx));
-        if (e.IsEmpty()) {
-          return Status::InvalidArgument("extent() of an empty Element");
-        }
-        return MakePeriod(t, Period::FromGrounded(e.Extent()));
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
+        TIP_ASSIGN_OR_RETURN(GroundedPeriod v,
+                             ElementExtent(GetElement(a[0]), ctx.tx));
+        return MakePeriod(t, Period::FromGrounded(v));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "num_periods", {t.element}, TypeId::kInt,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedElement e,
                              GetElement(a[0]).Ground(ctx.tx));
         return Datum::Int(static_cast<int64_t>(e.size()));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "is_empty", {t.element}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Bool(GetElement(a[0]).IsEmpty());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "is_now_relative", {t.instant}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Bool(GetInstant(a[0]).is_now_relative());
       })));
   // Instant-argument overloads: ground the instant, then test. These
@@ -366,7 +362,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
   // explicit ::Chronon cast (Instant -> Chronon is explicit-only).
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.element, t.instant}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Chronon c, GetInstant(a[1]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(bool v,
                              ElementContainsChronon(GetElement(a[0]), c,
@@ -375,7 +371,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "contains", {t.period, t.instant}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(GroundedPeriod p,
                              GetPeriod(a[0]).Ground(ctx.tx));
         TIP_ASSIGN_OR_RETURN(Chronon c, GetInstant(a[1]).Ground(ctx.tx));
@@ -386,7 +382,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
   // Useful for proximity queries ("within a week of ...").
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "expand", {t.element, t.span}, t.element,
-      [t](const std::vector<Datum>& a, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
         const Span& s = GetSpan(a[1]);
         TIP_ASSIGN_OR_RETURN(GroundedElement e,
                              GetElement(a[0]).Ground(ctx.tx));
@@ -410,7 +406,7 @@ Status RegisterElementRoutines(engine::RoutineRegistry& reg,
       })));
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "shift", {t.element, t.span}, t.element,
-      [t](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [t](DatumRefs a, EvalContext&) -> Result<Datum> {
         const Span& s = GetSpan(a[1]);
         std::vector<Period> shifted;
         shifted.reserve(GetElement(a[0]).size());
@@ -436,7 +432,7 @@ Status RegisterRoutines(engine::Database* db, const TipTypes& t) {
   // that want the statement's NOW explicitly.
   TIP_RETURN_IF_ERROR(reg.Register(Make(
       "transaction_time", {}, t.chronon,
-      [t](const std::vector<Datum>&, EvalContext& ctx) -> Result<Datum> {
+      [t](DatumRefs, EvalContext& ctx) -> Result<Datum> {
         return MakeChronon(t, ctx.tx.now);
       })));
   return Status::OK();

@@ -82,43 +82,43 @@ Status RegisterArithmetic(Database* db) {
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "+", {i, i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(int64_t v,
                              CheckedAdd(a[0].int_value(), a[1].int_value()));
         return Datum::Int(v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "+", {d, d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Double(a[0].double_value() + a[1].double_value());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "-", {i, i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(int64_t v,
                              CheckedSub(a[0].int_value(), a[1].int_value()));
         return Datum::Int(v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "-", {d, d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Double(a[0].double_value() - a[1].double_value());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "*", {i, i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(int64_t v,
                              CheckedMul(a[0].int_value(), a[1].int_value()));
         return Datum::Int(v);
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "*", {d, d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Double(a[0].double_value() * a[1].double_value());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "/", {i, i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         if (a[1].int_value() == 0) {
           return Status::InvalidArgument("division by zero");
         }
@@ -129,7 +129,7 @@ Status RegisterArithmetic(Database* db) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "/", {d, d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         if (a[1].double_value() == 0.0) {
           return Status::InvalidArgument("division by zero");
         }
@@ -137,7 +137,7 @@ Status RegisterArithmetic(Database* db) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "neg", {i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         if (a[0].int_value() == INT64_MIN) {
           return Status::OutOfRange("integer negation overflow");
         }
@@ -145,12 +145,12 @@ Status RegisterArithmetic(Database* db) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "neg", {d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Double(-a[0].double_value());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "mod", {i, i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         if (a[1].int_value() == 0) {
           return Status::InvalidArgument("modulo by zero");
         }
@@ -161,7 +161,7 @@ Status RegisterArithmetic(Database* db) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "abs", {i}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         if (a[0].int_value() == INT64_MIN) {
           return Status::OutOfRange("abs overflow");
         }
@@ -170,7 +170,7 @@ Status RegisterArithmetic(Database* db) {
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "abs", {d}, d,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Double(std::fabs(a[0].double_value()));
       })));
 
@@ -185,8 +185,7 @@ Status RegisterArithmetic(Database* db) {
       const TypeRegistry* types = &db->types();
       TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
           greatest ? "greatest" : "least", {t, t}, t,
-          [types, greatest](const std::vector<Datum>& a,
-                            EvalContext& ctx) -> Result<Datum> {
+          [types, greatest](DatumRefs a, EvalContext& ctx) -> Result<Datum> {
             TIP_ASSIGN_OR_RETURN(int c,
                                  types->Compare(a[0], a[1], ctx.tx));
             return (c >= 0) == greatest ? a[0] : a[1];
@@ -197,27 +196,27 @@ Status RegisterArithmetic(Database* db) {
   // String routines.
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "||", {s, s}, s,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::String(a[0].string_value() + a[1].string_value());
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "length", {s}, i,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Int(static_cast<int64_t>(a[0].string_value().size()));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "lower", {s}, s,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::String(ToLowerAscii(a[0].string_value()));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "upper", {s}, s,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::String(ToUpperAscii(a[0].string_value()));
       })));
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "like", {s, s}, TypeId::kBool,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         return Datum::Bool(LikeMatch(a[0].string_value(),
                                      a[1].string_value()));
       })));
@@ -529,7 +528,7 @@ Metrics ServerMetrics(const Database& db) {
 /// Builds a subsystem's list from its stats routine's leading arguments
 /// (only tip_index_stats has any: the table and index names).
 using MetricsSource =
-    std::function<Result<Metrics>(const std::vector<Datum>& args)>;
+    std::function<Result<Metrics>(DatumRefs args)>;
 
 // <routine>(args...)            -> every counter, `name=value ...`
 // <routine>(args..., 'counter') -> one counter as INT
@@ -541,8 +540,7 @@ Status RegisterMetrics(
     std::function<std::string(std::string counters)> decorate = nullptr) {
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       routine, params, TypeId::kString,
-      [source, decorate](const std::vector<Datum>& a,
-                         EvalContext&) -> Result<Datum> {
+      [source, decorate](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Metrics metrics, source(a));
         std::string text = FormatMetrics(metrics);
         return Datum::String(decorate ? decorate(std::move(text)) : text);
@@ -550,8 +548,7 @@ Status RegisterMetrics(
   params.push_back(TypeId::kString);
   return reg.Register(MakeRoutine(
       routine, std::move(params), TypeId::kInt,
-      [source, subsystem](const std::vector<Datum>& a,
-                          EvalContext&) -> Result<Datum> {
+      [source, subsystem](DatumRefs a, EvalContext&) -> Result<Datum> {
         TIP_ASSIGN_OR_RETURN(Metrics metrics, source(a));
         TIP_ASSIGN_OR_RETURN(
             uint64_t value,
@@ -567,14 +564,14 @@ Status RegisterStats(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId s = TypeId::kString;
   auto whole = [db](Metrics (*list)(const Database&)) -> MetricsSource {
-    return [db, list](const std::vector<Datum>&) -> Result<Metrics> {
+    return [db, list](DatumRefs) -> Result<Metrics> {
       return list(*db);
     };
   };
 
   TIP_RETURN_IF_ERROR(RegisterMetrics(
       reg, "tip_index_stats", {s, s}, "index",
-      [db](const std::vector<Datum>& a) -> Result<Metrics> {
+      [db](DatumRefs a) -> Result<Metrics> {
         const std::string& index = a[1].string_value();
         TIP_ASSIGN_OR_RETURN(const Table* table,
                              db->catalog().GetTable(a[0].string_value()));
@@ -627,7 +624,7 @@ Status RegisterStats(Database* db) {
 Status RegisterSleep(Database* db) {
   return db->routines().Register(MakeRoutine(
       "tip_sleep_ms", {TypeId::kInt}, TypeId::kInt,
-      [](const std::vector<Datum>& a, EvalContext& eval) -> Result<Datum> {
+      [](DatumRefs a, EvalContext& eval) -> Result<Datum> {
         const int64_t ms = a[0].int_value();
         for (int64_t slept = 0; slept < ms; ++slept) {
           TIP_RETURN_IF_ERROR(eval.CheckGuardNow());
@@ -647,7 +644,7 @@ Status RegisterDurability(Database* db) {
   // snapshot + WAL truncation through plain SQL over the C API.
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_checkpoint", {}, TypeId::kInt,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
+      [db](DatumRefs, EvalContext&) -> Result<Datum> {
         TIP_RETURN_IF_ERROR(db->Checkpoint());
         return Datum::Int(
             static_cast<int64_t>(db->durability_stats().checkpoints));
@@ -657,7 +654,7 @@ Status RegisterDurability(Database* db) {
   // need it because RemoteConnection has no direct Database handle.
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_sync_wal", {}, TypeId::kInt,
-      [db](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
+      [db](DatumRefs, EvalContext&) -> Result<Datum> {
         TIP_RETURN_IF_ERROR(db->SyncWal());
         return Datum::Int(0);
       })));
@@ -676,7 +673,7 @@ Status RegisterIntegrity(Database* db) {
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify", {}, s,
-      [db](const std::vector<Datum>&, EvalContext& eval) -> Result<Datum> {
+      [db](DatumRefs, EvalContext& eval) -> Result<Datum> {
         uint64_t objects = 0;
         uint64_t corruptions = 0;
         std::string bad;
@@ -732,7 +729,7 @@ Status RegisterIntegrity(Database* db) {
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify_dir", {s}, s,
-      [](const std::vector<Datum>& a, EvalContext&) -> Result<Datum> {
+      [](DatumRefs a, EvalContext&) -> Result<Datum> {
         OfflineVerifyReport report;
         TIP_RETURN_IF_ERROR(VerifyDurableDir(a[0].string_value(), &report));
         std::string out =

@@ -16,9 +16,11 @@
 namespace tip::engine {
 
 /// Implementation of one routine overload. Arguments arrive already cast
-/// to the declared parameter types.
-using RoutineFn =
-    std::function<Result<Datum>(const std::vector<Datum>&, EvalContext&)>;
+/// to the declared parameter types, borrowed: `a[i]` refers to the
+/// evaluated argument in place (a column of the tuple, a parameter, a
+/// constant or the caller's scratch slot), valid until the routine
+/// returns. A routine that returns one of its arguments returns a copy.
+using RoutineFn = std::function<Result<Datum>(DatumRefs, EvalContext&)>;
 
 /// One registered routine overload. Operators are ordinary routines whose
 /// name is the operator symbol ("+", "-", "*", "/", "||"), which is

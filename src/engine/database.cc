@@ -649,8 +649,8 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
           TIP_ASSIGN_OR_RETURN(
               bound, CoerceTo(std::move(bound),
                               columns[targets[i]].type, pctx));
-          TIP_ASSIGN_OR_RETURN(Datum v, bound->Eval(tuple, eval));
-          row[targets[i]] = std::move(v);
+          TIP_RETURN_IF_ERROR(
+              exec_util::EvalInto(*bound, tuple, eval, &row[targets[i]]));
         }
         TIP_RETURN_IF_ERROR(
             eval.ReserveMemory(exec_util::ApproxRowBytes(row)));
@@ -725,8 +725,9 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         TIP_RETURN_IF_ERROR(eval.CheckGuard());
         TupleCtx tuple{row, nullptr};
         if (where != nullptr) {
-          TIP_ASSIGN_OR_RETURN(Datum pass, where->Eval(tuple, eval));
-          if (pass.is_null() || !pass.bool_value()) continue;
+          TIP_ASSIGN_OR_RETURN(
+              bool pass, exec_util::PredicatePasses(*where, tuple, eval));
+          if (!pass) continue;
         }
         if (stmt.kind == Statement::Kind::kDelete) {
           deletions.push_back(id);
@@ -734,8 +735,8 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         } else {
           Row updated = *row;
           for (const auto& [idx, expr] : sets) {
-            TIP_ASSIGN_OR_RETURN(Datum v, expr->Eval(tuple, eval));
-            updated[idx] = std::move(v);
+            TIP_RETURN_IF_ERROR(
+                exec_util::EvalInto(*expr, tuple, eval, &updated[idx]));
           }
           TIP_RETURN_IF_ERROR(
               eval.ReserveMemory(exec_util::ApproxRowBytes(updated)));
@@ -974,7 +975,7 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
       routine.params = param_types;
       routine.result = return_type;
       routine.fn = [db, body, shared_params, return_type](
-                       const std::vector<Datum>& args,
+                       DatumRefs args,
                        EvalContext& eval_ctx) -> Result<Datum> {
         PlannerContext call_ctx;
         call_ctx.types = &db->types();
@@ -991,8 +992,14 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
                              BindScalar(*body, call_ctx, &call_scope));
         TIP_ASSIGN_OR_RETURN(bound, CoerceTo(std::move(bound),
                                              return_type, call_ctx));
-        TupleCtx tuple{&args, nullptr};
-        return bound->Eval(tuple, eval_ctx);
+        Row arg_row;
+        arg_row.reserve(args.size());
+        for (size_t i = 0; i < args.size(); ++i) arg_row.push_back(args[i]);
+        TupleCtx tuple{&arg_row, nullptr};
+        Datum result;
+        TIP_RETURN_IF_ERROR(
+            exec_util::EvalInto(*bound, tuple, eval_ctx, &result));
+        return result;
       };
       TIP_RETURN_IF_ERROR(routines_.Register(std::move(routine)));
       sql_functions_.insert(name);

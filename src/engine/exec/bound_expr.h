@@ -27,6 +27,21 @@ struct TupleCtx {
 
 /// A type-checked, name-resolved expression. Produced by the binder;
 /// evaluated by the executors. Evaluation is side-effect free.
+///
+/// Values are borrowed, as rows are: Eval returns a pointer to the
+/// value rather than a copy. A column points into the tuple's row, a
+/// parameter into the execution's parameter vector, a constant into the
+/// node; a computed node writes its result into `*slot`, which the
+/// caller provides, and may use that slot as scratch for an operand
+/// while it runs. The pointer stays valid until the caller changes
+/// `*slot` or the tuple. Callers that keep a value copy it from the
+/// pointer, or move it out when the pointer is their own slot.
+///
+/// Nodes keep no scratch state of their own: every slot lives on the
+/// caller's stack. So one tree can be shared by parallel workers and
+/// reused across executions of a cached plan. (A subquery node's subplan
+/// keeps its operators' per-execution state; the planner never pushes a
+/// subquery into an expression that workers evaluate.)
 class BoundExpr {
  public:
   explicit BoundExpr(TypeId type) : type_(type) {}
@@ -37,8 +52,8 @@ class BoundExpr {
 
   TypeId type() const { return type_; }
 
-  virtual Result<Datum> Eval(const TupleCtx& tuple,
-                             EvalContext& ctx) const = 0;
+  virtual Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                                    Datum* slot) const = 0;
 
  private:
   TypeId type_;
@@ -52,8 +67,9 @@ class BoundConstant final : public BoundExpr {
   explicit BoundConstant(Datum value)
       : BoundExpr(value.type_id()), value_(std::move(value)) {}
 
-  Result<Datum> Eval(const TupleCtx&, EvalContext&) const override {
-    return value_;
+  Result<const Datum*> Eval(const TupleCtx&, EvalContext&,
+                            Datum*) const override {
+    return &value_;
   }
 
  private:
@@ -71,12 +87,13 @@ class BoundParam final : public BoundExpr {
   BoundParam(TypeId type, size_t slot, std::string name)
       : BoundExpr(type), slot_(slot), name_(std::move(name)) {}
 
-  Result<Datum> Eval(const TupleCtx&, EvalContext& ctx) const override {
+  Result<const Datum*> Eval(const TupleCtx&, EvalContext& ctx,
+                            Datum*) const override {
     if (ctx.params == nullptr || slot_ >= ctx.params->size()) {
       return Status::Internal("parameter :" + name_ +
                               " has no value bound for this execution");
     }
-    return (*ctx.params)[slot_];
+    return &(*ctx.params)[slot_];
   }
 
   size_t slot() const { return slot_; }
@@ -93,7 +110,8 @@ class BoundColumn final : public BoundExpr {
   BoundColumn(TypeId type, size_t depth, size_t index)
       : BoundExpr(type), depth_(depth), index_(index) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext&) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
   size_t depth() const { return depth_; }
   size_t index() const { return index_; }
@@ -104,15 +122,21 @@ class BoundColumn final : public BoundExpr {
 };
 
 /// A call to a resolved routine overload; SQL NULL strictness and
-/// argument casts are applied here.
+/// argument casts are applied here. The arguments reach the routine
+/// borrowed: each is evaluated into a slot of an array on the stack
+/// (`kInlineArgs` wide; only wider calls, which SQL functions can make,
+/// use the heap).
 class BoundRoutineCall final : public BoundExpr {
  public:
+  static constexpr size_t kInlineArgs = 4;
+
   BoundRoutineCall(const Routine* routine, std::vector<BoundExprPtr> args)
       : BoundExpr(routine->result),
         routine_(routine),
         args_(std::move(args)) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
   const Routine& routine() const { return *routine_; }
 
@@ -127,7 +151,8 @@ class BoundCast final : public BoundExpr {
   BoundCast(const Cast* cast, BoundExprPtr operand)
       : BoundExpr(cast->to), cast_(cast), operand_(std::move(operand)) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   const Cast* cast_;
@@ -149,7 +174,8 @@ class BoundCompare final : public BoundExpr {
         rhs_(std::move(rhs)),
         types_(types) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   Op op_;
@@ -169,7 +195,8 @@ class BoundLogical final : public BoundExpr {
         lhs_(std::move(lhs)),
         rhs_(std::move(rhs)) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   Op op_;
@@ -183,7 +210,8 @@ class BoundNot final : public BoundExpr {
   explicit BoundNot(BoundExprPtr operand)
       : BoundExpr(TypeId::kBool), operand_(std::move(operand)) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   BoundExprPtr operand_;
@@ -197,7 +225,8 @@ class BoundIsNull final : public BoundExpr {
         operand_(std::move(operand)),
         negated_(negated) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   BoundExprPtr operand_;
@@ -214,7 +243,8 @@ class BoundCase final : public BoundExpr {
         thens_(std::move(thens)),
         else_(std::move(else_expr)) {}
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   std::vector<BoundExprPtr> whens_;
@@ -229,7 +259,8 @@ class BoundExists final : public BoundExpr {
   BoundExists(std::unique_ptr<ExecNode> subplan, bool negated);
   ~BoundExists() override;
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   std::unique_ptr<ExecNode> subplan_;
@@ -244,7 +275,8 @@ class BoundScalarSubquery final : public BoundExpr {
   BoundScalarSubquery(TypeId type, std::unique_ptr<ExecNode> subplan);
   ~BoundScalarSubquery() override;
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   std::unique_ptr<ExecNode> subplan_;
@@ -259,7 +291,8 @@ class BoundInSubquery final : public BoundExpr {
                   bool negated, const TypeRegistry* types);
   ~BoundInSubquery() override;
 
-  Result<Datum> Eval(const TupleCtx& tuple, EvalContext& ctx) const override;
+  Result<const Datum*> Eval(const TupleCtx& tuple, EvalContext& ctx,
+                            Datum* slot) const override;
 
  private:
   BoundExprPtr operand_;

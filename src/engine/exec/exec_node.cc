@@ -7,8 +7,44 @@
 namespace tip::engine {
 
 using exec_util::DatumsEqual;
+using exec_util::EvalInto;
 using exec_util::HashDatums;
 using exec_util::PredicatePasses;
+
+namespace {
+
+// Evaluates equi-join keys over `tuple`, borrowed: `(*keys)[i]` points
+// at the i-th key, computed ones living in `(*slots)[i]`. False as soon
+// as a key is NULL, which never joins.
+Result<bool> EvalJoinKeys(const std::vector<BoundExprPtr>& exprs,
+                          const TupleCtx& tuple, EvalContext& ctx,
+                          std::vector<Datum>* slots,
+                          std::vector<const Datum*>* keys) {
+  slots->resize(exprs.size());
+  keys->resize(exprs.size());
+  for (size_t i = 0; i < exprs.size(); ++i) {
+    TIP_ASSIGN_OR_RETURN((*keys)[i],
+                         exprs[i]->Eval(tuple, ctx, &(*slots)[i]));
+    if ((*keys)[i]->is_null()) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Status StepAggregate(const AggregateSpec& spec, const TupleCtx& tuple,
+                     EvalContext& ctx, AggregateState& state) {
+  if (spec.arg == nullptr) return state.Step(Datum::Int(1), ctx);
+  Datum slot;
+  TIP_ASSIGN_OR_RETURN(const Datum* value, spec.arg->Eval(tuple, ctx, &slot));
+  if (value->is_null()) {
+    if (spec.agg.def->strict) return Status::OK();
+  } else if (spec.agg.arg_cast != nullptr) {
+    TIP_ASSIGN_OR_RETURN(slot, spec.agg.arg_cast->fn(*value, ctx));
+    value = &slot;
+  }
+  return state.Step(*value, ctx);
+}
 
 void ExecNode::Explain(int depth, std::string* out) const {
   out->append(static_cast<size_t>(depth) * 2, ' ');
@@ -63,8 +99,9 @@ Status IntervalScanNode::Open(ExecState& state) {
   next_ = 0;
   TupleCtx tuple;
   tuple.outer = state.outer;
-  Result<Datum> probe = probe_->Eval(tuple, *state.eval);
-  if (!probe.ok()) return probe.status();
+  Datum slot;
+  TIP_ASSIGN_OR_RETURN(const Datum* probe,
+                       probe_->Eval(tuple, *state.eval, &slot));
   if (probe->is_null()) return Status::OK();  // no matches
   Result<IntervalKey> key = probe_key_fn_(*probe, state.eval->tx);
   if (!key.ok()) return key.status();
@@ -136,11 +173,9 @@ Result<bool> ProjectNode::Next(ExecState& state, Row* out) {
   TIP_ASSIGN_OR_RETURN(const Row* input, child_->NextBorrowed(state));
   if (input == nullptr) return false;
   TupleCtx tuple{input, state.outer};
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const BoundExprPtr& expr : exprs_) {
-    TIP_ASSIGN_OR_RETURN(Datum v, expr->Eval(tuple, *state.eval));
-    out->push_back(std::move(v));
+  out->resize(exprs_.size());
+  for (size_t i = 0; i < exprs_.size(); ++i) {
+    TIP_RETURN_IF_ERROR(EvalInto(*exprs_[i], tuple, *state.eval, &(*out)[i]));
   }
   return true;
 }
@@ -226,20 +261,12 @@ Status HashJoinNode::Open(ExecState& state) {
     if (!has_row.ok()) return has_row.status();
     if (!*has_row) break;
     TupleCtx tuple{&row, state.outer};
-    std::vector<Datum> keys;
-    keys.reserve(right_keys_.size());
-    bool null_key = false;
-    for (const BoundExprPtr& key : right_keys_) {
-      Result<Datum> v = key->Eval(tuple, *state.eval);
-      if (!v.ok()) return v.status();
-      if (v->is_null()) {
-        null_key = true;
-        break;
-      }
-      keys.push_back(std::move(*v));
-    }
-    if (null_key) continue;  // NULL never joins
-    Result<uint64_t> h = HashDatums(keys, *types_, state.eval->tx);
+    TIP_ASSIGN_OR_RETURN(bool joinable,
+                         EvalJoinKeys(right_keys_, tuple, *state.eval,
+                                      &key_slots_, &keys_));
+    if (!joinable) continue;
+    Result<uint64_t> h = HashDatums(DatumRefs(keys_.data(), keys_.size()),
+                                    *types_, state.eval->tx);
     if (!h.ok()) return h.status();
     TIP_RETURN_IF_ERROR(
         state.eval->ReserveMemory(exec_util::ApproxRowBytes(row)));
@@ -255,12 +282,15 @@ Result<bool> HashJoinNode::KeysEqual(const Row& left_row,
   TupleCtx left_tuple{&left_row, state.outer};
   TupleCtx right_tuple{&right_row, state.outer};
   for (size_t i = 0; i < left_keys_.size(); ++i) {
-    TIP_ASSIGN_OR_RETURN(Datum lv, left_keys_[i]->Eval(left_tuple,
-                                                       *state.eval));
-    TIP_ASSIGN_OR_RETURN(Datum rv, right_keys_[i]->Eval(right_tuple,
-                                                        *state.eval));
-    if (lv.is_null() || rv.is_null()) return false;
-    TIP_ASSIGN_OR_RETURN(int c, types_->Compare(lv, rv, state.eval->tx));
+    Datum left_slot, right_slot;
+    TIP_ASSIGN_OR_RETURN(const Datum* lv,
+                         left_keys_[i]->Eval(left_tuple, *state.eval,
+                                             &left_slot));
+    TIP_ASSIGN_OR_RETURN(const Datum* rv,
+                         right_keys_[i]->Eval(right_tuple, *state.eval,
+                                              &right_slot));
+    if (lv->is_null() || rv->is_null()) return false;
+    TIP_ASSIGN_OR_RETURN(int c, types_->Compare(*lv, *rv, state.eval->tx));
     if (c != 0) return false;
   }
   return true;
@@ -277,20 +307,13 @@ Result<bool> HashJoinNode::Next(ExecState& state, Row* out) {
       next_match_ = 0;
 
       TupleCtx tuple{&probe_row_, state.outer};
-      std::vector<Datum> keys;
-      keys.reserve(left_keys_.size());
-      bool null_key = false;
-      for (const BoundExprPtr& key : left_keys_) {
-        TIP_ASSIGN_OR_RETURN(Datum v, key->Eval(tuple, *state.eval));
-        if (v.is_null()) {
-          null_key = true;
-          break;
-        }
-        keys.push_back(std::move(v));
-      }
-      if (!null_key) {
-        TIP_ASSIGN_OR_RETURN(uint64_t h,
-                             HashDatums(keys, *types_, state.eval->tx));
+      TIP_ASSIGN_OR_RETURN(bool joinable,
+                           EvalJoinKeys(left_keys_, tuple, *state.eval,
+                                        &key_slots_, &keys_));
+      if (joinable) {
+        TIP_ASSIGN_OR_RETURN(
+            uint64_t h, HashDatums(DatumRefs(keys_.data(), keys_.size()),
+                                   *types_, state.eval->tx));
         auto [begin, end] = build_index_.equal_range(h);
         for (auto it = begin; it != end; ++it) {
           current_matches_.push_back(it->second);
@@ -350,11 +373,12 @@ Result<bool> IntervalJoinNode::Next(ExecState& state, Row* out) {
       matches_.clear();
       next_match_ = 0;
       TupleCtx tuple{left_row_, state.outer};
-      TIP_ASSIGN_OR_RETURN(Datum probe,
-                           left_probe_->Eval(tuple, *state.eval));
-      if (!probe.is_null()) {
+      Datum slot;
+      TIP_ASSIGN_OR_RETURN(const Datum* probe,
+                           left_probe_->Eval(tuple, *state.eval, &slot));
+      if (!probe->is_null()) {
         TIP_ASSIGN_OR_RETURN(IntervalKey key,
-                             probe_key_fn_(probe, state.eval->tx));
+                             probe_key_fn_(*probe, state.eval->tx));
         if (!key.empty) {
           index_.FindOverlapping(key.start, key.end, &matches_);
         }
@@ -411,14 +435,17 @@ Status SortNode::Open(ExecState& state) {
   }
 
   // Precompute sort keys so comparison failures surface before sorting.
-  std::vector<std::vector<Datum>> keys(rows_.size());
+  // Row i's key k is keys[i * nk + k]: borrowed from the buffered row
+  // (rows_ no longer grows) or computed into the matching slot.
+  const size_t nk = keys_.size();
+  std::vector<Datum> key_slots(rows_.size() * nk);
+  std::vector<const Datum*> keys(rows_.size() * nk);
   for (size_t i = 0; i < rows_.size(); ++i) {
     TupleCtx tuple{&rows_[i], state.outer};
-    keys[i].reserve(keys_.size());
-    for (const Key& key : keys_) {
-      Result<Datum> v = key.expr->Eval(tuple, *state.eval);
-      if (!v.ok()) return v.status();
-      keys[i].push_back(std::move(*v));
+    for (size_t k = 0; k < nk; ++k) {
+      TIP_ASSIGN_OR_RETURN(keys[i * nk + k],
+                           keys_[k].expr->Eval(tuple, *state.eval,
+                                               &key_slots[i * nk + k]));
     }
   }
   std::vector<size_t> order(rows_.size());
@@ -429,9 +456,9 @@ Status SortNode::Open(ExecState& state) {
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) {
                      if (!sort_status.ok()) return false;
-                     for (size_t k = 0; k < keys_.size(); ++k) {
-                       const Datum& va = keys[a][k];
-                       const Datum& vb = keys[b][k];
+                     for (size_t k = 0; k < nk; ++k) {
+                       const Datum& va = *keys[a * nk + k];
+                       const Datum& vb = *keys[b * nk + k];
                        const bool na = va.is_null(), nb = vb.is_null();
                        if (na || nb) {
                          if (na == nb) continue;
@@ -471,7 +498,7 @@ void SortNode::Explain(int depth, std::string* out) const {
 // -- AggregateNode -----------------------------------------------------------
 
 Result<AggregateNode::Group*> AggregateNode::FindOrCreateGroup(
-    const std::vector<Datum>& keys, ExecState& state) {
+    DatumRefs keys, ExecState& state) {
   TIP_ASSIGN_OR_RETURN(uint64_t h,
                        HashDatums(keys, *types_, state.eval->tx));
   auto [begin, end] = group_index_.equal_range(h);
@@ -482,11 +509,13 @@ Result<AggregateNode::Group*> AggregateNode::FindOrCreateGroup(
                     state.eval->tx));
     if (equal) return &groups_[it->second];
   }
-  // Each group buffers its keys plus one aggregate state apiece.
-  TIP_RETURN_IF_ERROR(state.eval->ReserveMemory(
-      exec_util::ApproxRowBytes(keys) + aggregates_.size() * 64));
+  // A new group copies its keys out of the borrowed input, and buffers
+  // them plus one aggregate state apiece.
   Group group;
-  group.keys = keys;
+  group.keys.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) group.keys.push_back(keys[i]);
+  TIP_RETURN_IF_ERROR(state.eval->ReserveMemory(
+      exec_util::ApproxRowBytes(group.keys) + aggregates_.size() * 64));
   group.states.reserve(aggregates_.size());
   for (const AggregateSpec& spec : aggregates_) {
     group.states.push_back(spec.agg.def->make_state());
@@ -503,39 +532,26 @@ Status AggregateNode::Open(ExecState& state) {
   next_ = 0;
 
   TIP_RETURN_IF_ERROR(child_->Open(state));
+  // The group keys of the current row, borrowed (computed ones in
+  // key_slots); FindOrCreateGroup copies them only for a new group.
+  std::vector<Datum> key_slots(group_exprs_.size());
+  std::vector<const Datum*> keys(group_exprs_.size());
   for (;;) {
     TIP_RETURN_IF_ERROR(state.eval->CheckGuard());
-    Result<const Row*> row = child_->NextBorrowed(state);
-    if (!row.ok()) return row.status();
-    if (*row == nullptr) break;
-    TupleCtx tuple{*row, state.outer};
+    TIP_ASSIGN_OR_RETURN(const Row* row, child_->NextBorrowed(state));
+    if (row == nullptr) break;
+    TupleCtx tuple{row, state.outer};
 
-    std::vector<Datum> keys;
-    keys.reserve(group_exprs_.size());
-    for (const BoundExprPtr& expr : group_exprs_) {
-      Result<Datum> v = expr->Eval(tuple, *state.eval);
-      if (!v.ok()) return v.status();
-      keys.push_back(std::move(*v));
+    for (size_t i = 0; i < group_exprs_.size(); ++i) {
+      TIP_ASSIGN_OR_RETURN(keys[i], group_exprs_[i]->Eval(tuple, *state.eval,
+                                                          &key_slots[i]));
     }
-    Result<Group*> group = FindOrCreateGroup(keys, state);
-    if (!group.ok()) return group.status();
-
+    TIP_ASSIGN_OR_RETURN(
+        Group * group,
+        FindOrCreateGroup(DatumRefs(keys.data(), keys.size()), state));
     for (size_t i = 0; i < aggregates_.size(); ++i) {
-      const AggregateSpec& spec = aggregates_[i];
-      Datum value = Datum::Int(1);  // COUNT(*) counts rows
-      if (spec.arg != nullptr) {
-        Result<Datum> v = spec.arg->Eval(tuple, *state.eval);
-        if (!v.ok()) return v.status();
-        value = std::move(*v);
-        if (value.is_null() && spec.agg.def->strict) continue;
-        if (spec.agg.arg_cast != nullptr && !value.is_null()) {
-          Result<Datum> cast_value =
-              spec.agg.arg_cast->fn(value, *state.eval);
-          if (!cast_value.ok()) return cast_value.status();
-          value = std::move(*cast_value);
-        }
-      }
-      TIP_RETURN_IF_ERROR((*group)->states[i]->Step(value, *state.eval));
+      TIP_RETURN_IF_ERROR(StepAggregate(aggregates_[i], tuple, *state.eval,
+                                        *group->states[i]));
     }
   }
 

@@ -248,6 +248,10 @@ class HashJoinNode final : public ExecNode {
   bool probe_valid_ = false;
   std::vector<size_t> current_matches_;
   size_t next_match_ = 0;
+  // The keys of the row being hashed, borrowed; computed ones live in
+  // key_slots_.
+  std::vector<Datum> key_slots_;
+  std::vector<const Datum*> keys_;
 
   Result<bool> KeysEqual(const Row& left_row, const Row& right_row,
                          ExecState& state) const;
@@ -328,6 +332,12 @@ struct AggregateSpec {
   BoundExprPtr arg;  // null for COUNT(*)
 };
 
+/// Feeds one input row to an aggregate: evaluates its argument over
+/// `tuple` (borrowed), applies SQL strictness and the argument cast, and
+/// steps `state`. COUNT(*) (no argument) counts the row.
+Status StepAggregate(const AggregateSpec& spec, const TupleCtx& tuple,
+                     EvalContext& ctx, AggregateState& state);
+
 /// Hash aggregation. Output row = group-key values ++ aggregate
 /// results. With no group keys, emits exactly one row even for empty
 /// input (SQL global-aggregate semantics).
@@ -365,8 +375,7 @@ class AggregateNode final : public ExecNode {
   std::vector<Row> results_;
   size_t next_ = 0;
 
-  Result<Group*> FindOrCreateGroup(const std::vector<Datum>& keys,
-                                   ExecState& state);
+  Result<Group*> FindOrCreateGroup(DatumRefs keys, ExecState& state);
 };
 
 /// Hash-based duplicate elimination over whole rows.

@@ -218,8 +218,7 @@ void ParallelScanNode::Explain(int depth, std::string* out) const {
 // -- ParallelAggregateNode ---------------------------------------------------
 
 Result<ParallelAggregateNode::Group*> ParallelAggregateNode::FindOrCreateGroup(
-    LocalAgg& local, uint64_t hash, const std::vector<Datum>& keys,
-    EvalContext& eval) {
+    LocalAgg& local, uint64_t hash, DatumRefs keys, EvalContext& eval) {
   auto [begin, end] = local.index.equal_range(hash);
   for (auto it = begin; it != end; ++it) {
     TIP_ASSIGN_OR_RETURN(bool equal,
@@ -227,13 +226,15 @@ Result<ParallelAggregateNode::Group*> ParallelAggregateNode::FindOrCreateGroup(
                                                 keys, *types_, eval.tx));
     if (equal) return &local.groups[it->second];
   }
-  // Each group buffers its keys plus one aggregate state apiece; charge
-  // the statement budget as the group table grows.
-  TIP_RETURN_IF_ERROR(eval.ReserveMemory(exec_util::ApproxRowBytes(keys) +
-                                         aggregates_.size() * 64));
+  // A new group copies its keys out of the borrowed input, and buffers
+  // them plus one aggregate state apiece; charge the statement budget as
+  // the group table grows.
   Group group;
   group.hash = hash;
-  group.keys = keys;
+  group.keys.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) group.keys.push_back(keys[i]);
+  TIP_RETURN_IF_ERROR(eval.ReserveMemory(
+      exec_util::ApproxRowBytes(group.keys) + aggregates_.size() * 64));
   group.states.reserve(aggregates_.size());
   for (const AggregateSpec& spec : aggregates_) {
     group.states.push_back(spec.agg.def->make_state());
@@ -248,6 +249,11 @@ Status ParallelAggregateNode::ScanWorker(LocalAgg& local, MorselSource& source,
                                          const TupleCtx* outer,
                                          EvalContext& eval) {
   const HeapTable& heap = table_->heap();
+  // The group keys of the current row, borrowed (computed ones in
+  // key_slots); FindOrCreateGroup copies them only for a new group.
+  std::vector<Datum> key_slots(group_exprs_.size());
+  std::vector<const Datum*> key_values(group_exprs_.size());
+  const DatumRefs keys(key_values.data(), key_values.size());
   Morsel m;
   while (!failed.load(std::memory_order_relaxed) && source.Next(&m)) {
     TIP_RETURN_IF_ERROR(eval.CheckGuardNow());
@@ -266,28 +272,18 @@ Status ParallelAggregateNode::ScanWorker(LocalAgg& local, MorselSource& source,
       }
       ++local.counters.rows_out;
 
-      std::vector<Datum> keys;
-      keys.reserve(group_exprs_.size());
-      for (const BoundExprPtr& expr : group_exprs_) {
-        TIP_ASSIGN_OR_RETURN(Datum v, expr->Eval(tuple, eval));
-        keys.push_back(std::move(v));
+      for (size_t i = 0; i < group_exprs_.size(); ++i) {
+        TIP_ASSIGN_OR_RETURN(key_values[i],
+                             group_exprs_[i]->Eval(tuple, eval,
+                                                   &key_slots[i]));
       }
       TIP_ASSIGN_OR_RETURN(uint64_t h,
                            exec_util::HashDatums(keys, *types_, eval.tx));
       TIP_ASSIGN_OR_RETURN(Group* group,
                            FindOrCreateGroup(local, h, keys, eval));
-
       for (size_t i = 0; i < aggregates_.size(); ++i) {
-        const AggregateSpec& spec = aggregates_[i];
-        Datum value = Datum::Int(1);  // COUNT(*) counts rows
-        if (spec.arg != nullptr) {
-          TIP_ASSIGN_OR_RETURN(value, spec.arg->Eval(tuple, eval));
-          if (value.is_null() && spec.agg.def->strict) continue;
-          if (spec.agg.arg_cast != nullptr && !value.is_null()) {
-            TIP_ASSIGN_OR_RETURN(value, spec.agg.arg_cast->fn(value, eval));
-          }
-        }
-        TIP_RETURN_IF_ERROR(group->states[i]->Step(value, eval));
+        TIP_RETURN_IF_ERROR(
+            StepAggregate(aggregates_[i], tuple, eval, *group->states[i]));
       }
     }
   }
@@ -458,11 +454,12 @@ Status ParallelIntervalJoinNode::Open(ExecState& state) {
             if (!pass) continue;
           }
           matches.clear();
-          TIP_ASSIGN_OR_RETURN(Datum probe,
-                               left_probe_->Eval(left_tuple, eval));
-          if (!probe.is_null()) {
+          Datum slot;
+          TIP_ASSIGN_OR_RETURN(const Datum* probe,
+                               left_probe_->Eval(left_tuple, eval, &slot));
+          if (!probe->is_null()) {
             TIP_ASSIGN_OR_RETURN(IntervalKey key,
-                                 probe_key_fn_(probe, eval.tx));
+                                 probe_key_fn_(*probe, eval.tx));
             if (!key.empty) {
               index.FindOverlapping(key.start, key.end, &matches);
             }

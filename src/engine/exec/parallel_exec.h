@@ -145,8 +145,7 @@ class ParallelAggregateNode final : public ExecNode {
   };
 
   Result<Group*> FindOrCreateGroup(LocalAgg& local, uint64_t hash,
-                                   const std::vector<Datum>& keys,
-                                   EvalContext& eval);
+                                   DatumRefs keys, EvalContext& eval);
   Status ScanWorker(LocalAgg& local, MorselSource& source,
                     std::atomic<bool>& failed, const TupleCtx* outer,
                     EvalContext& eval);

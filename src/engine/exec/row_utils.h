@@ -17,8 +17,20 @@ namespace tip::engine::exec_util {
 inline Result<bool> PredicatePasses(const BoundExpr& predicate,
                                     const TupleCtx& tuple,
                                     EvalContext& ctx) {
-  TIP_ASSIGN_OR_RETURN(Datum v, predicate.Eval(tuple, ctx));
-  return !v.is_null() && v.bool_value();
+  Datum slot;
+  TIP_ASSIGN_OR_RETURN(const Datum* v, predicate.Eval(tuple, ctx, &slot));
+  return !v->is_null() && v->bool_value();
+}
+
+/// Evaluates `expr` over `tuple` into `*out`, a value the caller keeps
+/// (a column of the row it builds): a computed value is written there
+/// directly, a borrowed one is copied once. `*out` must not be part of
+/// the tuple.
+inline Status EvalInto(const BoundExpr& expr, const TupleCtx& tuple,
+                       EvalContext& ctx, Datum* out) {
+  TIP_ASSIGN_OR_RETURN(const Datum* v, expr.Eval(tuple, ctx, out));
+  if (v != out) *out = *v;
+  return Status::OK();
 }
 
 /// Combines per-column hashes the boost::hash_combine way.
@@ -26,23 +38,24 @@ inline uint64_t CombineHashes(uint64_t seed, uint64_t h) {
   return seed ^ (h + 0x9E3779B97F4A7C15ULL + (seed << 6) + (seed >> 2));
 }
 
-inline Result<uint64_t> HashDatums(const std::vector<Datum>& values,
-                                   const TypeRegistry& types,
-                                   const TxContext& tx) {
+/// Hashes a list of values: a Row, or keys borrowed as DatumRefs.
+template <typename Values>
+Result<uint64_t> HashDatums(const Values& values, const TypeRegistry& types,
+                            const TxContext& tx) {
   uint64_t seed = 0;
-  for (const Datum& v : values) {
-    TIP_ASSIGN_OR_RETURN(uint64_t h, types.Hash(v, tx));
+  for (size_t i = 0; i < values.size(); ++i) {
+    TIP_ASSIGN_OR_RETURN(uint64_t h, types.Hash(values[i], tx));
     seed = CombineHashes(seed, h);
   }
   return seed;
 }
 
 /// Row equality for grouping / DISTINCT: NULLs compare equal to NULLs
-/// (SQL's "not distinct from" semantics used by GROUP BY).
-inline Result<bool> DatumsEqual(const std::vector<Datum>& a,
-                                const std::vector<Datum>& b,
-                                const TypeRegistry& types,
-                                const TxContext& tx) {
+/// (SQL's "not distinct from" semantics used by GROUP BY). Either side
+/// may be a Row or borrowed DatumRefs.
+template <typename A, typename B>
+Result<bool> DatumsEqual(const A& a, const B& b, const TypeRegistry& types,
+                         const TxContext& tx) {
   assert(a.size() == b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     const bool an = a[i].is_null(), bn = b[i].is_null();

@@ -144,26 +144,29 @@ Status ApplyMutate(Database* db, std::string_view body) {
 // fsync flushes every byte of it.
 void EncodeRowImage(const Row& row, const TypeRegistry& types,
                     std::string* out) {
-  for (const Datum& value : row) {
-    if (value.is_null()) {
-      wire::PutVarint(0, out);
-      continue;
-    }
-    // Serialize straight into the body: this runs once per value per
-    // logged statement, and the per-value temporary Serialize would
-    // hand back is measurable. The one-byte prefix guess is patched
-    // with a memmove in the rare case the value needs a longer one.
-    const size_t prefix_pos = out->size();
-    out->push_back(0);
-    types.SerializeTo(value, out);
-    const uint64_t len = out->size() - prefix_pos - 1;
-    if (len + 1 < 0x80) {
-      (*out)[prefix_pos] = static_cast<char>(len + 1);
-    } else {
-      std::string prefix;
-      wire::PutVarint(len + 1, &prefix);
-      out->replace(prefix_pos, 1, prefix);
-    }
+  for (const Datum& value : row) EncodeRowField(value, types, out);
+}
+
+void EncodeRowField(const Datum& value, const TypeRegistry& types,
+                    std::string* out) {
+  if (value.is_null()) {
+    wire::PutVarint(0, out);
+    return;
+  }
+  // Serialize straight into the body: this runs once per value per
+  // logged statement or sent row, and the per-value temporary Serialize
+  // would hand back is measurable. The one-byte prefix guess is patched
+  // with a memmove in the rare case the value needs a longer one.
+  const size_t prefix_pos = out->size();
+  out->push_back(0);
+  types.SerializeTo(value, out);
+  const uint64_t len = out->size() - prefix_pos - 1;
+  if (len + 1 < 0x80) {
+    (*out)[prefix_pos] = static_cast<char>(len + 1);
+  } else {
+    std::string prefix;
+    wire::PutVarint(len + 1, &prefix);
+    out->replace(prefix_pos, 1, prefix);
   }
 }
 

@@ -34,8 +34,15 @@ class TypeRegistry;
 /// Appends one row's logical image (a varint-prefixed field per
 /// column: 0 for NULL, n+1 for an n-byte serialized value) to `out`.
 /// This is the WAL's row encoding, shared with the integrity
-/// subsystem's per-row checksums so both hash exactly the same bytes.
+/// subsystem's per-row checksums so both hash exactly the same bytes,
+/// and with the wire protocol's row chunks.
 void EncodeRowImage(const Row& row, const TypeRegistry& types,
+                    std::string* out);
+
+/// Appends one field of a row image: the encoding of a single value
+/// that EncodeRowImage applies per column. The wire protocol encodes its
+/// bound parameters with it too.
+void EncodeRowField(const Datum& value, const TypeRegistry& types,
                     std::string* out);
 
 /// kInsert body: table | u64 n | n row images.

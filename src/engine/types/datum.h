@@ -115,6 +115,24 @@ class Datum {
 /// A stored or in-flight tuple.
 using Row = std::vector<Datum>;
 
+/// A borrowed, read-only list of values that live elsewhere: a routine's
+/// arguments, or the group keys an aggregate probes with. The values
+/// belong to the caller and stay valid for the call that receives the
+/// view; copy any value kept beyond it.
+class DatumRefs {
+ public:
+  DatumRefs(const Datum* const* values, size_t size)
+      : values_(values), size_(size) {}
+
+  size_t size() const { return size_; }
+  const Datum& operator[](size_t i) const { return *values_[i]; }
+  const Datum& back() const { return *values_[size_ - 1]; }
+
+ private:
+  const Datum* const* values_;
+  size_t size_;
+};
+
 }  // namespace tip::engine
 
 #endif  // TIP_ENGINE_TYPES_DATUM_H_

@@ -15,6 +15,7 @@
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
+#include "engine/storage/recovery.h"
 #include "engine/storage/wire_format.h"
 
 namespace tip::server {
@@ -674,7 +675,7 @@ bool Server::StreamResult(Session* session, const engine::ResultSet& result,
     rows_bytes.clear();
     uint32_t count = 0;
     while (i < n && rows_bytes.size() < options_.max_rows_frame_bytes) {
-      wire::AppendRowImage(result.rows[i], db_->types(), &rows_bytes);
+      engine::EncodeRowImage(result.rows[i], db_->types(), &rows_bytes);
       ++i;
       ++count;
     }

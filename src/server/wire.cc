@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "common/crc32.h"
+#include "engine/storage/recovery.h"
 #include "engine/storage/wire_format.h"
 
 namespace tip::server::wire {
@@ -117,20 +118,6 @@ Status SendAll(int fd, std::string_view bytes, int timeout_ms,
     return Status::Corruption("send: " + std::string(std::strerror(errno)));
   }
   return Status::OK();
-}
-
-/// Appends one datum as a row-image field: varint 0 for NULL, n+1 then
-/// the n serialized bytes otherwise. Identical to EncodeRowImage's
-/// per-column grammar (storage/recovery.cc).
-void PutDatumField(const engine::Datum& d, const engine::TypeRegistry& types,
-                   std::string* out) {
-  if (d.is_null()) {
-    ewire::PutVarint(0, out);
-    return;
-  }
-  const std::string bytes = types.Serialize(d);
-  ewire::PutVarint(bytes.size() + 1, out);
-  out->append(bytes);
 }
 
 Result<engine::Datum> ReadDatumField(ewire::Reader* reader,
@@ -355,7 +342,7 @@ std::string BuildExec(std::string_view sql, const engine::Params& params,
   for (const auto& [name, value] : params) {
     ewire::PutString(name, &out);
     ewire::PutString(types.Get(value.type_id()).name, &out);
-    PutDatumField(value, types, &out);
+    engine::EncodeRowField(value, types, &out);
   }
   return out;
 }
@@ -453,16 +440,9 @@ std::string BuildRowsChunk(const engine::ResultSet& result, size_t first,
   std::string out;
   ewire::PutU32(static_cast<uint32_t>(last - first), &out);
   for (size_t i = first; i < last; ++i) {
-    AppendRowImage(result.rows[i], types, &out);
+    engine::EncodeRowImage(result.rows[i], types, &out);
   }
   return out;
-}
-
-void AppendRowImage(const engine::Row& row, const engine::TypeRegistry& types,
-                    std::string* out) {
-  for (const engine::Datum& value : row) {
-    PutDatumField(value, types, out);
-  }
 }
 
 Result<std::vector<engine::Row>> ParseRowsChunk(

@@ -164,10 +164,6 @@ Result<ResultHeader> ParseResultHeader(std::string_view payload);
 /// columns. `first`/`last` index into result.rows (half-open).
 std::string BuildRowsChunk(const engine::ResultSet& result, size_t first,
                            size_t last, const engine::TypeRegistry& types);
-/// Appends one row's image (the chunk grammar without the count
-/// prefix); the server uses it to cut size-bounded chunks.
-void AppendRowImage(const engine::Row& row, const engine::TypeRegistry& types,
-                    std::string* out);
 /// Decodes a chunk against the column types resolved from the header
 /// (one TypeId per column, client-side registry).
 Result<std::vector<engine::Row>> ParseRowsChunk(

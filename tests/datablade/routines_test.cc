@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "datablade/datablade.h"
 
@@ -296,6 +299,120 @@ TEST_F(RoutinesTest, SumOfLengthsVsLengthOfGroupUnion) {
   EXPECT_EQ(One("SELECT (length(group_union(v)) / '0 00:00:01'::Span) "
                 "FROM t"),
             "777601");  // coalesced
+}
+
+// -- Borrowed arguments -------------------------------------------------------
+// Expressions hand routines their arguments in place: columns of the
+// current row (of this query or an outer one), bound parameters, or
+// values computed into the caller's slots. These cases pin the paths
+// where a borrowed value could outlive what it points into.
+
+class BorrowedArgumentsTest : public RoutinesTest {
+ protected:
+  // Every row of `sql`, each formatted as "v1|v2|...".
+  std::vector<std::string> Rows(std::string_view sql) {
+    std::vector<std::string> out;
+    for (const engine::Row& row : Exec(sql).rows) {
+      std::string line;
+      for (size_t i = 0; i < row.size(); ++i) {
+        if (i > 0) line += "|";
+        line += db_.types().Format(row[i]);
+      }
+      out.push_back(line);
+    }
+    return out;
+  }
+};
+
+TEST_F(BorrowedArgumentsTest, CorrelatedSubqueryCallsRoutineOnOuterElement) {
+  Exec("CREATE TABLE rx (patient CHAR(20), valid Element)");
+  Exec("CREATE TABLE visits (patient CHAR(20), day Chronon)");
+  Exec("CREATE TABLE win (w Element)");
+  Exec("INSERT INTO rx VALUES ('ann', '{[1999-01-01, 1999-03-31]}'), "
+       "('bob', '{[1999-06-01, NOW]}'), ('cy', NULL)");
+  Exec("INSERT INTO visits VALUES ('ann', '1999-02-01'), "
+       "('ann', '1999-05-01'), ('bob', '1999-07-01'), "
+       "('bob', '1999-11-01'), ('bob', '1999-12-01'), ('cy', '1999-01-01')");
+  Exec("INSERT INTO win VALUES ('{[1999-03-01, 1999-06-30]}')");
+  // The subqueries read rx.valid from the outer scope, once as a
+  // routine argument in a filter and once inside a computed value that
+  // the scalar subquery hands back.
+  EXPECT_EQ(Rows("SELECT patient, "
+                 "(SELECT count(*) FROM visits v WHERE v.patient = "
+                 "rx.patient AND contains(rx.valid, v.day)), "
+                 "(SELECT length(intersect(rx.valid, w))::char FROM win) "
+                 "FROM rx ORDER BY patient"),
+            (std::vector<std::string>{"ann|1|30 00:00:01",
+                                      "bob|2|29 00:00:01", "cy|0|NULL"}));
+}
+
+TEST_F(BorrowedArgumentsTest, StrictRoutineWithNullSecondArgument) {
+  Exec("CREATE TABLE t (id INT, v Element, w Element)");
+  Exec("INSERT INTO t VALUES "
+       "(1, '{[1999-01-01, 1999-01-31]}', '{[1999-01-15, 1999-02-15]}'), "
+       "(2, '{[1999-01-01, 1999-01-31]}', NULL), "
+       "(3, '{[1999-05-01, NOW]}', NULL)");
+  // The first argument is already evaluated (a column, or a value
+  // computed into its slot) when the NULL second one stops the call.
+  EXPECT_EQ(Rows("SELECT id, intersect(v, w)::char, "
+                 "intersect(union(v, v), w) IS NULL, overlaps(v, w) "
+                 "FROM t ORDER BY id"),
+            (std::vector<std::string>{
+                "1|{[1999-01-15, 1999-01-31]}|false|true",
+                "2|NULL|true|NULL", "3|NULL|true|NULL"}));
+  EXPECT_EQ(Rows("SELECT id FROM t WHERE overlaps(v, w) ORDER BY id"),
+            (std::vector<std::string>{"1"}));
+}
+
+TEST_F(BorrowedArgumentsTest, GreatestAndLeastReturnABorrowedArgument) {
+  Exec("CREATE TABLE s (a CHAR(10), b CHAR(10))");
+  Exec("INSERT INTO s VALUES ('apple', 'pear'), ('zoo', 'ant'), "
+       "(NULL, 'x')");
+  // Each returns one of its arguments as read from the row; the result
+  // must be a value of its own, here fed on to further routines.
+  EXPECT_EQ(Rows("SELECT greatest(a, b), least(a, b), "
+                 "upper(greatest(a, b)), least(a || '!', b || '?') "
+                 "FROM s ORDER BY b"),
+            (std::vector<std::string>{"zoo|ant|ZOO|ant?",
+                                      "pear|apple|PEAR|apple!",
+                                      "NULL|NULL|NULL|NULL"}));
+}
+
+TEST_F(BorrowedArgumentsTest, PreparedStatementRebindsStringAndElement) {
+  Exec("CREATE TABLE rx (patient CHAR(20), valid Element)");
+  for (int i = 0; i < 10; ++i) {
+    // patient i holds January of year 1990 + i.
+    const std::string year = std::to_string(1990 + i);
+    Exec("INSERT INTO rx VALUES ('p" + std::to_string(i) + "', '{[" + year +
+         "-01-01, " + year + "-01-31]}')");
+  }
+  Result<TipTypes> t = TipTypes::Lookup(db_);
+  ASSERT_TRUE(t.ok());
+  Result<std::shared_ptr<const engine::PreparedPlan>> plan = db_.Prepare(
+      "SELECT patient, :p, intersect(valid, :w) FROM rx "
+      "WHERE patient = :p AND overlaps(valid, :w)");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (int i = 0; i < 100; ++i) {
+    // Even runs ask for the patient's own January, odd runs for the
+    // year after: a stale parameter would answer for the wrong run.
+    const int patient = i % 10;
+    const std::string year = std::to_string(1990 + patient + i % 2);
+    engine::Params params;
+    params["p"] = engine::Datum::String("p" + std::to_string(patient));
+    params["w"] = MakeElement(
+        *t, *Element::Parse("{[" + year + "-01-10, " + year + "-02-10]}"));
+    Result<engine::ResultSet> r = db_.ExecutePrepared(**plan, &params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    if (i % 2 == 1) {
+      EXPECT_TRUE(r->rows.empty()) << "run " << i;
+      continue;
+    }
+    ASSERT_EQ(r->rows.size(), 1u) << "run " << i;
+    EXPECT_EQ(r->rows[0][0].string_value(), "p" + std::to_string(patient));
+    EXPECT_EQ(r->rows[0][1].string_value(), "p" + std::to_string(patient));
+    EXPECT_EQ(GetElement(r->rows[0][2]).ToString(),
+              "{[" + year + "-01-10, " + year + "-01-31]}");
+  }
 }
 
 }  // namespace

@@ -13,7 +13,7 @@ Routine Simple(std::string name, std::vector<TypeId> params, TypeId result) {
   r.name = std::move(name);
   r.params = std::move(params);
   r.result = result;
-  r.fn = [](const std::vector<Datum>&, EvalContext&) -> Result<Datum> {
+  r.fn = [](DatumRefs, EvalContext&) -> Result<Datum> {
     return Datum::Null();
   };
   return r;

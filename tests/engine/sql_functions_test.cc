@@ -145,5 +145,34 @@ TEST_F(SqlFunctionsTest, UsableInsideAggregatedQueries) {
   EXPECT_EQ(One("SELECT sum(days_of(v)) FROM t WHERE k = 'a'"), "10");
 }
 
+// A call wider than the evaluator's inline argument array (four), on
+// every row, with column arguments: the arguments reach the function
+// body as a row built from the borrowed values.
+TEST_F(SqlFunctionsTest, SixParameterFunctionOverColumns) {
+  Exec("CREATE FUNCTION pick(p CHAR, q CHAR, v Element, "
+       "w Element, n INT, m INT) RETURNS INT AS "
+       "'CASE WHEN overlaps(v, w) THEN length(p) * 100 + n "
+       "ELSE length(q) * 100 + m END'");
+  Exec("CREATE TABLE t (id INT, p CHAR(20), q CHAR(20), v Element, "
+       "w Element, n INT, m INT)");
+  Exec("INSERT INTO t VALUES "
+       "(1, 'ab', 'xyz', '{[1999-01-01, 1999-01-31]}', "
+       "'{[1999-01-15, 1999-02-15]}', 1, 2), "
+       "(2, 'ab', 'xyz', '{[1999-01-01, 1999-01-31]}', "
+       "'{[1999-03-01, NOW]}', 3, 4), "
+       "(3, 'abcd', NULL, '{[1999-01-01, NOW]}', "
+       "'{[1999-11-01, 1999-11-30]}', 5, 6), "
+       "(4, 'a', 'b', '{}', '{}', NULL, 7)");
+  ResultSet r = Exec("SELECT id, pick(p, q, v, w, n, m), "
+                     "pick(q, p, w, v, m, n + id) FROM t ORDER BY id");
+  ASSERT_EQ(r.rows.size(), 4u);
+  const char* expected[4][2] = {
+      {"201", "302"}, {"304", "205"}, {"NULL", "NULL"}, {"NULL", "NULL"}};
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(db_.types().Format(r.rows[i][1]), expected[i][0]) << i;
+    EXPECT_EQ(db_.types().Format(r.rows[i][2]), expected[i][1]) << i;
+  }
+}
+
 }  // namespace
 }  // namespace tip::engine

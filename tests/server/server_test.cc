@@ -25,6 +25,7 @@
 #include "common/string_util.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
+#include "engine/storage/recovery.h"
 #include "engine/storage/wire_format.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -115,6 +116,64 @@ TEST_F(ServerTest, NullsAndAffectedRowsRoundTrip) {
   client::ResultSet upd =
       Exec(conn.get(), "UPDATE t SET v = 'x' WHERE id = 1");
   EXPECT_EQ(upd.affected_rows(), 1);
+}
+
+// Row chunks and bound parameters carry the WAL's row image byte for
+// byte. The expected field bytes are spelled out from the grammar
+// (varint 0 for NULL, n+1 then the n serialized bytes), not taken from
+// the encoder both sides share.
+TEST(WireRowImageTest, RowChunksAndParamsCarryTheWalRowImage) {
+  engine::Database db;
+  ASSERT_TRUE(datablade::Install(&db).ok());
+  const engine::TypeRegistry& types = db.types();
+  Result<datablade::TipTypes> tip = datablade::TipTypes::Lookup(db);
+  ASSERT_TRUE(tip.ok());
+  // Seven periods serialize to 8 + 7 * 18 = 134 bytes: the field needs a
+  // two-byte varint prefix.
+  std::vector<Period> periods;
+  for (int i = 0; i < 7; ++i) {
+    periods.push_back(*Period::Parse("[199" + std::to_string(i) +
+                                     "-01-01, 199" + std::to_string(i) +
+                                     "-06-30]"));
+  }
+  const engine::Datum element =
+      datablade::MakeElement(*tip, Element::FromPeriods(periods));
+  const engine::Row row = {engine::Datum::NullOf(engine::TypeId::kInt),
+                           engine::Datum::String("statin"), element};
+
+  auto field = [&](const engine::Datum& d) {
+    std::string out;
+    if (d.is_null()) {
+      engine::wire::PutVarint(0, &out);
+      return out;
+    }
+    const std::string bytes = types.Serialize(d);
+    engine::wire::PutVarint(bytes.size() + 1, &out);
+    return out + bytes;
+  };
+  const std::string element_field = field(element);
+  ASSERT_GE(static_cast<unsigned char>(element_field[0]), 0x80u);
+  ASSERT_LT(static_cast<unsigned char>(element_field[1]), 0x80u);
+  const std::string image = field(row[0]) + field(row[1]) + element_field;
+
+  std::string wal_image;
+  engine::EncodeRowImage(row, types, &wal_image);
+  EXPECT_EQ(wal_image, image);
+
+  engine::ResultSet result;
+  result.rows = {row};
+  std::string chunk;
+  engine::wire::PutU32(1, &chunk);
+  EXPECT_EQ(wire::BuildRowsChunk(result, 0, 1, types), chunk + image);
+
+  engine::Params params = {{"w", element}};
+  std::string exec;
+  engine::wire::PutString("SELECT :w", &exec);
+  engine::wire::PutU32(1, &exec);
+  engine::wire::PutString("w", &exec);
+  engine::wire::PutString("element", &exec);
+  EXPECT_EQ(wire::BuildExec("SELECT :w", params, types),
+            exec + element_field);
 }
 
 TEST_F(ServerTest, PreparedStatementBindsOverTheWire) {

@@ -14,16 +14,23 @@
 // potentially difficult to optimize"; the series below quantifies it:
 // tip and client scale near-linearly, layered blows up cubically.
 //
-// EXP-COALESCE-SCALING: the same group_union aggregation on one large
-// table under the morsel-driven parallel executor at 1/2/4/8 workers
-// (SET parallel_workers). Workers aggregate thread-local partial
-// states which group_union merges (concatenation) before one final
-// sort-and-coalesce; the 1-worker row runs the unchanged serial plan.
+// EXP-PARALLEL: each plan shape the morsel-driven executor considers,
+// on one 20,000-row table at 1/2/4 workers (SET parallel_workers), over
+// 25 rounds. Each round runs every worker count once, and a speedup is
+// the median over rounds of serial_ms / ms within the round: load on a
+// shared host comes in bursts that slow a whole round alike. Three shapes
+// run in parallel: a global aggregate with and without a filter, and a
+// filtered scan. Three stay serial at every worker count, because
+// splitting them did not pay: GROUP BY (count and group_union) and a
+// bare scan. The 1-worker row is the serial plan; every answer is
+// checked against its first answer, and the bench exits nonzero on any
+// disagreement.
 //
 // Results are also written to BENCH_coalesce.json.
 
 #include <cinttypes>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -105,9 +112,9 @@ int main() {
       "\nand client_ms stay near-linear — the integrated-DataBlade"
       "\nadvantage the paper argues for in Section 5.\n");
 
-  // ---- EXP-COALESCE-SCALING ----------------------------------------------
+  // ---- EXP-PARALLEL ------------------------------------------------------
   constexpr int64_t kScalingRows = 20000;
-  const unsigned hw = std::thread::hardware_concurrency();
+  constexpr int kScalingRuns = 25;
   std::unique_ptr<client::Connection> conn = bench::OpenTip();
   engine::Database& db = conn->database();
 
@@ -120,50 +127,58 @@ int main() {
                          &db, conn->tip_types(), config, "rx"),
                      "setup scaling rx");
 
-  const std::string agg_query =
-      "SELECT patient, length(group_union(valid)) / '0 00:00:01'::Span "
-      "FROM rx GROUP BY patient ORDER BY patient";
-
-  engine::ResultSet serial_result;
-  const double serial_ms = bench::MedianTimeMs(
-      [&] { serial_result = bench::MustExec(&db, agg_query); });
-
-  std::printf("\nEXP-COALESCE-SCALING: group_union over %" PRId64
-              " rows, %u hardware thread(s); serial %.2f ms\n",
-              kScalingRows, hw, serial_ms);
-  std::printf("%8s %10s %9s %7s\n", "workers", "ms", "speedup", "agree");
-
-  struct ScalingRow {
-    int workers;
-    double ms;
-    bool agree;
+  struct Shape {
+    const char* name;
+    const char* sql;
   };
-  std::vector<ScalingRow> scaling_rows;
+  const Shape shapes[] = {
+      {"global_count", "SELECT count(*) FROM rx"},
+      {"filtered_count",
+       "SELECT count(*) FROM rx WHERE patient = 'patient0007'"},
+      {"filtered_scan",
+       "SELECT drug, valid FROM rx WHERE patient = 'patient0007'"},
+      {"group_by_count", "SELECT patient, count(*) FROM rx GROUP BY patient"},
+      {"group_by_union",
+       "SELECT patient, length(group_union(valid)) / '0 00:00:01'::Span "
+       "FROM rx GROUP BY patient"},
+      {"bare_scan", "SELECT length(valid) FROM rx"},
+  };
+  std::printf("\nEXP-PARALLEL: plan shapes over %" PRId64
+              " rows, %u hardware thread(s), medians over %d rounds\n",
+              kScalingRows, std::thread::hardware_concurrency(),
+              kScalingRuns);
+  std::printf("%16s %9s %8s %10s %9s %7s\n", "shape", "parallel",
+              "workers", "ms", "speedup", "agree");
 
-  bench::MustExec(&db, "SET parallel_min_rows 1");
-  for (int workers : {1, 2, 4, 8}) {
-    bench::MustExec(&db,
-                    "SET parallel_workers " + std::to_string(workers));
-    engine::ResultSet result;
-    const double ms = bench::MedianTimeMs(
-        [&] { result = bench::MustExec(&db, agg_query); });
-
-    bool agree = result.rows.size() == serial_result.rows.size();
-    for (size_t i = 0; agree && i < result.rows.size(); ++i) {
-      agree = result.rows[i][0].string_value() ==
-                  serial_result.rows[i][0].string_value() &&
-              result.rows[i][1].int_value() ==
-                  serial_result.rows[i][1].int_value();
+  struct ShapeResult {
+    const Shape* shape;
+    bool parallel_plan;  // EXPLAIN at 4 workers shows a parallel operator
+    std::vector<bench::ScalingRow> rows;
+  };
+  std::vector<ShapeResult> shape_results;
+  bool all_agree = true;
+  for (const Shape& shape : shapes) {
+    bench::MustExec(&db, "SET parallel_workers 4");
+    std::string plan;
+    for (const engine::Row& row :
+         bench::MustExec(&db, std::string("EXPLAIN ") + shape.sql).rows) {
+      plan += row[0].string_value() + "\n";
     }
-    std::printf("%8d %10.2f %8.2fx %7s\n", workers, ms, serial_ms / ms,
-                agree ? "yes" : "NO");
-    scaling_rows.push_back(ScalingRow{workers, ms, agree});
+    ShapeResult result{&shape, plan.find("Parallel(") != std::string::npos,
+                       bench::MeasureScaling(&db, shape.sql, {1, 2, 4},
+                                             kScalingRuns)};
+    for (const bench::ScalingRow& row : result.rows) {
+      all_agree = all_agree && row.agree;
+      std::printf("%16s %9s %8d %10.3f %8.2fx %7s\n", shape.name,
+                  result.parallel_plan ? "yes" : "no", row.workers, row.ms,
+                  row.speedup, row.agree ? "yes" : "NO");
+    }
+    shape_results.push_back(std::move(result));
   }
-  bench::MustExec(&db, "SET parallel_workers 1");
   std::printf(
-      "\nshape check: the 1-worker row matches the serial baseline (same"
-      "\nplan); with more hardware threads the partial-aggregation rows"
-      "\ndrop toward serial_ms / min(workers, cores).\n");
+      "\nshape check: the parallel shapes drop toward serial_ms /"
+      "\nmin(workers, cores); the serial ones read ~1.0x at every worker"
+      "\ncount (same plan).\n");
 
   // ---- machine-readable output -------------------------------------------
   const char* json_path = "BENCH_coalesce.json";
@@ -172,7 +187,7 @@ int main() {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"coalesce\",\n");
+  bench::WriteJsonHeader(json, "coalesce");
   std::fprintf(json, "  \"strategies\": [\n");
   for (size_t i = 0; i < strategy_rows.size(); ++i) {
     const StrategyRow& s = strategy_rows[i];
@@ -185,22 +200,32 @@ int main() {
                  i + 1 < strategy_rows.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"scaling\": {\n");
+  std::fprintf(json, "  \"parallel\": {\n");
   std::fprintf(json, "    \"rows\": %" PRId64 ",\n", kScalingRows);
-  std::fprintf(json, "    \"hardware_concurrency\": %u,\n", hw);
-  std::fprintf(json, "    \"serial_ms\": %.3f,\n", serial_ms);
-  std::fprintf(json, "    \"workers\": [\n");
-  for (size_t i = 0; i < scaling_rows.size(); ++i) {
-    const ScalingRow& s = scaling_rows[i];
+  std::fprintf(json, "    \"runs\": %d,\n", kScalingRuns);
+  std::fprintf(json, "    \"shapes\": [\n");
+  for (size_t i = 0; i < shape_results.size(); ++i) {
+    const ShapeResult& r = shape_results[i];
     std::fprintf(json,
-                 "      {\"workers\": %d, \"ms\": %.3f"
-                 ", \"speedup\": %.3f, \"agree\": %s}%s\n",
-                 s.workers, s.ms, serial_ms / s.ms,
-                 s.agree ? "true" : "false",
-                 i + 1 < scaling_rows.size() ? "," : "");
+                 "      {\"shape\": \"%s\", \"parallel_plan\": %s, "
+                 "\"workers\": [",
+                 r.shape->name, r.parallel_plan ? "true" : "false");
+    for (size_t j = 0; j < r.rows.size(); ++j) {
+      const bench::ScalingRow& w = r.rows[j];
+      std::fprintf(json,
+                   "%s{\"workers\": %d, \"ms\": %.3f, \"speedup\": %.3f"
+                   ", \"agree\": %s}",
+                   j > 0 ? ", " : "", w.workers, w.ms, w.speedup,
+                   w.agree ? "true" : "false");
+    }
+    std::fprintf(json, "]}%s\n", i + 1 < shape_results.size() ? "," : "");
   }
   std::fprintf(json, "    ]\n  }\n}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path);
+  if (!all_agree) {
+    std::fprintf(stderr, "EXP-PARALLEL: a parallel answer disagrees\n");
+    return 1;
+  }
   return 0;
 }

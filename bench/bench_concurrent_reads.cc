@@ -265,12 +265,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"concurrent_reads\",\n");
+  bench::WriteJsonHeader(json, "concurrent_reads");
   std::fprintf(json,
-               "  \"cpu_count\": %u,\n  \"think_ms\": %d,\n"
+               "  \"think_ms\": %d,\n"
                "  \"selects_per_txn\": %d,\n  \"txns_per_session\": %d,\n"
                "  \"budget_ratio_at_8\": 3.0,\n",
-               cpus, kThinkMs, kSelectsPerTxn, txns);
+               kThinkMs, kSelectsPerTxn, txns);
   std::fprintf(json, "  \"browse_curve\": [\n");
   for (size_t i = 0; i < curve.size(); ++i) {
     std::fprintf(json,

@@ -113,10 +113,9 @@ int main() {
 
   std::FILE* out = std::fopen("BENCH_guard_overhead.json", "w");
   if (out != nullptr) {
+    bench::WriteJsonHeader(out, "guard_overhead");
     std::fprintf(
         out,
-        "{\n"
-        "  \"bench\": \"guard_overhead\",\n"
         "  \"reps\": %d,\n"
         "  \"coalesce\": {\"rows\": %" PRId64
         ", \"guarded_ms\": %.3f, \"unguarded_ms\": %.3f, "

@@ -196,7 +196,7 @@ int main() {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"period_index\",\n");
+  bench::WriteJsonHeader(json, "period_index");
   std::fprintf(json, "  \"rows\": %" PRId64 ",\n", kRows);
   std::fprintf(json, "  \"build_ms\": %.3f,\n", build_ms);
   std::fprintf(json, "  \"windows\": [\n");

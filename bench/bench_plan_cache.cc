@@ -164,7 +164,7 @@ int main() {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"plan_cache\",\n");
+  bench::WriteJsonHeader(json, "plan_cache");
   std::fprintf(json, "  \"iterations\": %d,\n  \"rows\": %d,\n",
                kIterations, kRows);
   std::fprintf(json, "  \"queries\": [\n");

@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"server_echo\",\n");
+  bench::WriteJsonHeader(json, "server_echo");
   std::fprintf(json, "  \"iterations\": %d,\n  \"budget_wire_us\": 25,\n",
                kIterations);
   std::fprintf(json, "  \"queries\": [\n");

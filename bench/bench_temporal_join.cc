@@ -12,9 +12,10 @@
 //
 // EXP-JOIN-SCALING: the interval-index join on one large table under
 // the morsel-driven parallel executor at 1/2/4/8 workers (SET
-// parallel_workers): workers claim morsels of the outer (filtered)
-// scan and probe the shared interval index concurrently; the 1-worker
-// row runs the unchanged serial plan.
+// parallel_workers), over five rounds (bench::MeasureScaling): workers
+// claim morsels of the outer (filtered) scan and probe the shared
+// interval index concurrently; the 1-worker row runs the serial plan.
+// Exits nonzero if any worker count disagrees with the serial answer.
 //
 // Results are also written to BENCH_temporal_join.json.
 
@@ -124,41 +125,27 @@ int main() {
       "WHERE p1.drug = 'drug0001' AND p2.drug = 'drug0002' "
       "AND p1.patient = p2.patient AND overlaps(p1.valid, p2.valid)";
 
-  engine::ResultSet serial_result;
-  const double serial_ms = bench::MedianTimeMs(
-      [&] { serial_result = bench::MustExec(&db, tip_join); });
-  const int64_t pairs = serial_result.rows[0][0].int_value();
+  constexpr int kScalingRuns = 5;
+  const std::vector<bench::ScalingRow> scaling_rows =
+      bench::MeasureScaling(&db, tip_join, {1, 2, 4, 8}, kScalingRuns);
+  const int64_t pairs =
+      bench::MustExec(&db, tip_join).rows[0][0].int_value();
+  const double serial_ms = scaling_rows[0].ms;
 
   std::printf("\nEXP-JOIN-SCALING: interval-index join over %" PRId64
-              " rows (%" PRId64 " pairs), %u hardware thread(s); "
-              "serial %.2f ms\n",
-              kScalingRows, pairs, hw, serial_ms);
+              " rows (%" PRId64 " pairs), %u hardware thread(s), medians "
+              "over %d rounds\n",
+              kScalingRows, pairs, hw, kScalingRuns);
   std::printf("%8s %10s %9s %7s\n", "workers", "ms", "speedup", "agree");
-
-  struct ScalingRow {
-    int workers;
-    double ms;
-    bool agree;
-  };
-  std::vector<ScalingRow> scaling_rows;
-
-  bench::MustExec(&db, "SET parallel_min_rows 1");
-  for (int workers : {1, 2, 4, 8}) {
-    bench::MustExec(&db,
-                    "SET parallel_workers " + std::to_string(workers));
-    engine::ResultSet result;
-    const double ms = bench::MedianTimeMs(
-        [&] { result = bench::MustExec(&db, tip_join); });
-    const bool agree = result.rows[0][0].int_value() == pairs;
-    std::printf("%8d %10.2f %8.2fx %7s\n", workers, ms, serial_ms / ms,
-                agree ? "yes" : "NO");
-    scaling_rows.push_back(ScalingRow{workers, ms, agree});
+  bool all_agree = true;
+  for (const bench::ScalingRow& row : scaling_rows) {
+    all_agree = all_agree && row.agree;
+    std::printf("%8d %10.2f %8.2fx %7s\n", row.workers, row.ms, row.speedup,
+                row.agree ? "yes" : "NO");
   }
-  bench::MustExec(&db, "SET parallel_workers 1");
   std::printf(
-      "\nshape check: the 1-worker row matches the serial baseline (same"
-      "\nplan); with more hardware threads the concurrent index probes"
-      "\ndrop toward serial_ms / min(workers, cores).\n");
+      "\nshape check: with more hardware threads the concurrent index"
+      "\nprobes drop toward serial_ms / min(workers, cores).\n");
 
   // ---- machine-readable output -------------------------------------------
   const char* json_path = "BENCH_temporal_join.json";
@@ -167,7 +154,7 @@ int main() {
     std::fprintf(stderr, "cannot open %s\n", json_path);
     return 1;
   }
-  std::fprintf(json, "{\n  \"bench\": \"temporal_join\",\n");
+  bench::WriteJsonHeader(json, "temporal_join");
   std::fprintf(json, "  \"strategies\": [\n");
   for (size_t i = 0; i < strategy_rows.size(); ++i) {
     const StrategyRow& s = strategy_rows[i];
@@ -183,20 +170,24 @@ int main() {
   std::fprintf(json, "  \"scaling\": {\n");
   std::fprintf(json, "    \"rows\": %" PRId64 ",\n", kScalingRows);
   std::fprintf(json, "    \"pairs\": %" PRId64 ",\n", pairs);
-  std::fprintf(json, "    \"hardware_concurrency\": %u,\n", hw);
+  std::fprintf(json, "    \"runs\": %d,\n", kScalingRuns);
   std::fprintf(json, "    \"serial_ms\": %.3f,\n", serial_ms);
   std::fprintf(json, "    \"workers\": [\n");
   for (size_t i = 0; i < scaling_rows.size(); ++i) {
-    const ScalingRow& s = scaling_rows[i];
+    const bench::ScalingRow& s = scaling_rows[i];
     std::fprintf(json,
                  "      {\"workers\": %d, \"ms\": %.3f"
                  ", \"speedup\": %.3f, \"agree\": %s}%s\n",
-                 s.workers, s.ms, serial_ms / s.ms,
+                 s.workers, s.ms, s.speedup,
                  s.agree ? "true" : "false",
                  i + 1 < scaling_rows.size() ? "," : "");
   }
   std::fprintf(json, "    ]\n  }\n}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path);
+  if (!all_agree) {
+    std::fprintf(stderr, "EXP-JOIN-SCALING: a parallel answer disagrees\n");
+    return 1;
+  }
   return 0;
 }

@@ -173,10 +173,9 @@ int main() {
 
   std::FILE* out = std::fopen("BENCH_wal_overhead.json", "w");
   if (out != nullptr) {
+    tip::bench::WriteJsonHeader(out, "wal_overhead");
     std::fprintf(
         out,
-        "{\n"
-        "  \"bench\": \"wal_overhead\",\n"
         "  \"statements\": %" PRId64 ",\n"
         "  \"rows_per_statement\": %" PRId64 ",\n"
         "  \"reps\": %d,\n"

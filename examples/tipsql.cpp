@@ -21,7 +21,6 @@
 
 #include <unistd.h>
 
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -29,6 +28,7 @@
 #include <string>
 
 #include "client/connection.h"
+#include "engine/sql/lexer.h"
 #include "engine/storage/snapshot.h"
 #include "tsql2/translator.h"
 #include "workload/medical.h"
@@ -137,17 +137,12 @@ int main(int argc, char** argv) {
     }
     buffer += line;
     buffer += '\n';
-    // Execute each ';'-terminated statement in the buffer.
-    size_t semi;
-    while ((semi = buffer.find(';')) != std::string::npos) {
-      std::string statement = buffer.substr(0, semi);
-      buffer.erase(0, semi + 1);
-      // Skip empty statements.
-      bool blank = true;
-      for (char c : statement) {
-        if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-      }
-      if (blank) continue;
+    // Execute each ';'-terminated statement in the buffer; an unfinished
+    // one waits for more lines.
+    const tip::engine::ScriptStatements split =
+        tip::engine::SplitStatements(buffer);
+    for (std::string_view text : split.complete) {
+      std::string statement(text);
       // TSQL2 layer: sequenced statements translate to TIP SQL first.
       if (tip::tsql2::IsTemporalStatement(statement)) {
         tip::Result<std::string> translated =
@@ -172,6 +167,7 @@ int main(int argc, char** argv) {
       std::printf("%s", result->ToTable().c_str());
       if (timing) std::printf("(%.3f ms)\n", ms);
     }
+    buffer = std::string(split.rest);
   }
   return 0;
 }

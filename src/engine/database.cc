@@ -13,6 +13,7 @@
 #include "engine/exec/planner.h"
 #include "engine/exec/row_utils.h"
 #include "engine/sql/ast.h"
+#include "engine/sql/lexer.h"
 #include "engine/sql/parser.h"
 #include "engine/storage/integrity.h"
 #include "engine/storage/recovery.h"
@@ -232,23 +233,16 @@ Result<ResultSet> Database::ExecutePrepared(const PreparedPlan& plan,
 }
 
 Result<ResultSet> Database::ExecuteScript(std::string_view script) {
-  ResultSet last;
-  bool ran_any = false;
-  size_t start = 0;
-  bool in_string = false;
-  for (size_t i = 0; i <= script.size(); ++i) {
-    const bool at_end = i == script.size();
-    if (!at_end && script[i] == '\'') in_string = !in_string;
-    if (!at_end && (script[i] != ';' || in_string)) continue;
-    std::string_view statement =
-        StripAsciiWhitespace(script.substr(start, i - start));
-    start = i + 1;
-    if (statement.empty()) continue;
-    TIP_ASSIGN_OR_RETURN(last, Execute(statement));
-    ran_any = true;
+  ScriptStatements statements = SplitStatements(script);
+  if (!statements.rest.empty()) {
+    statements.complete.push_back(statements.rest);
   }
-  if (!ran_any) {
+  if (statements.complete.empty()) {
     return Status::InvalidArgument("empty script");
+  }
+  ResultSet last;
+  for (std::string_view statement : statements.complete) {
+    TIP_ASSIGN_OR_RETURN(last, Execute(statement));
   }
   return last;
 }
@@ -288,8 +282,7 @@ StatementClass Database::Classify(const Statement& stmt,
       // toggles...) flips state every session reads.
       if (stmt.option == "now" || stmt.option == "statement_timeout_ms" ||
           stmt.option == "memory_limit_kb" ||
-          stmt.option == "parallel_workers" ||
-          stmt.option == "parallel_min_rows") {
+          stmt.option == "parallel_workers") {
         return StatementClass::kReader;
       }
       return StatementClass::kWriter;
@@ -381,7 +374,6 @@ PlannerContext Database::MakePlannerContext(const Params* params,
   pctx.enable_hash_join = enable_hash_join_;
   pctx.enable_interval_join = enable_interval_join_;
   pctx.parallel_workers = s->parallel_workers.load();
-  pctx.parallel_min_rows = s->parallel_min_rows.load();
   pctx.parallel_stats = &parallel_stats_;
   return pctx;
 }
@@ -392,7 +384,7 @@ std::string Database::SettingsFingerprint(
   // Everything the planner reads besides the catalog. The guard switch
   // does not change plan shape, but an execution under a different
   // guard regime is not the one the user benchmarked, so it keys too.
-  // The parallel knobs are per-session, so sessions with different
+  // The worker count is per-session, so sessions with different
   // settings key (and plan) separately.
   std::string fp;
   fp += enable_hash_join_ ? "hj1 " : "hj0 ";
@@ -400,8 +392,6 @@ std::string Database::SettingsFingerprint(
   fp += statement_guard_enabled_ ? "g1 " : "g0 ";
   fp += "pw";
   fp += std::to_string(s->parallel_workers.load(std::memory_order_relaxed));
-  fp += " pm";
-  fp += std::to_string(s->parallel_min_rows.load(std::memory_order_relaxed));
   return fp;
 }
 
@@ -481,7 +471,6 @@ Result<ResultSet> Database::ExecutePreparedSelect(const PreparedPlan& plan,
   // same cached plan concurrently and read different groundings.
   EvalContext eval(CurrentTx(s));
   eval.params = &slots;
-  eval.session = s;
   GuardArm guard_arm(this, &eval, s);
 
   ExecState state;
@@ -512,7 +501,6 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
   PlannerContext pctx = MakePlannerContext(params, s);
 
   EvalContext eval(CurrentTx(s));
-  eval.session = s;
   ExecState state;
   state.eval = &eval;
 
@@ -816,12 +804,6 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         }
         s->parallel_workers = static_cast<size_t>(n);
         result.message = "SET PARALLEL_WORKERS " + std::to_string(n);
-        return result;
-      }
-      if (stmt.option == "parallel_min_rows") {
-        TIP_ASSIGN_OR_RETURN(int64_t n, ParseCount(word));
-        s->parallel_min_rows = static_cast<size_t>(n);
-        result.message = "SET PARALLEL_MIN_ROWS " + std::to_string(n);
         return result;
       }
       if (stmt.option == "statement_timeout_ms") {

@@ -247,8 +247,9 @@ class Database {
   }
 
   /// Executes a ';'-separated script, stopping at the first error;
-  /// returns the result of the last non-empty statement. Semicolons
-  /// inside string literals are honoured.
+  /// returns the result of the last non-empty statement. Statements end
+  /// at `;` tokens (SplitStatements), so a `;` inside a string literal
+  /// or a `--` comment does not split.
   Result<ResultSet> ExecuteScript(std::string_view script);
 
   // -- Session state --------------------------------------------------------
@@ -280,14 +281,6 @@ class Database {
   void set_parallel_workers(size_t n) { global_session_.parallel_workers = n; }
   size_t parallel_workers() const {
     return global_session_.parallel_workers.load();
-  }
-  /// Minimum estimated scan input before a parallel plan is considered
-  /// (SET PARALLEL_MIN_ROWS n).
-  void set_parallel_min_rows(size_t n) {
-    global_session_.parallel_min_rows = n;
-  }
-  size_t parallel_min_rows() const {
-    return global_session_.parallel_min_rows.load();
   }
 
   // -- Transactions ----------------------------------------------------------

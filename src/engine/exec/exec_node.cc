@@ -348,6 +348,48 @@ void HashJoinNode::Explain(int depth, std::string* out) const {
   right_->Explain(depth + 1, out);
 }
 
+// -- IntervalJoinProbe -------------------------------------------------------
+
+Status IntervalJoinProbe::FindCandidates(
+    const IntervalIndexView& index, const TupleCtx& left, EvalContext& ctx,
+    std::vector<RowId>* candidates) const {
+  candidates->clear();
+  Datum slot;
+  TIP_ASSIGN_OR_RETURN(const Datum* value, probe->Eval(left, ctx, &slot));
+  if (value->is_null()) return Status::OK();
+  TIP_ASSIGN_OR_RETURN(IntervalKey key, key_fn(*value, ctx.tx));
+  if (!key.empty) index.FindOverlapping(key.start, key.end, candidates);
+  return Status::OK();
+}
+
+Result<bool> IntervalJoinProbe::Join(const Row& left, RowId candidate,
+                                     const TupleCtx* outer, EvalContext& ctx,
+                                     Row* out) const {
+  const Row* right = table->heap().Get(candidate);
+  if (right == nullptr) return false;
+  out->clear();
+  out->reserve(left.size() + right->size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right->begin(), right->end());
+  if (residual == nullptr) return true;
+  TupleCtx tuple{out, outer};
+  return PredicatePasses(*residual, tuple, ctx);
+}
+
+std::string IntervalJoinProbe::Target() const {
+  return table->name() + "." + table->columns()[column].name;
+}
+
+void IntervalJoinProbe::Explain(int depth, std::string* out) const {
+  out->append(static_cast<size_t>(depth) * 2, ' ');
+  out->append("IndexProbe(" + table->name() + ")\n");
+  std::optional<IndexStatsSnapshot> stats = table->IntervalIndexStats(column);
+  if (stats.has_value()) {
+    out->append(static_cast<size_t>(depth) * 2, ' ');
+    out->append("IndexStats(" + FormatMetrics(IndexMetrics(*stats)) + ")\n");
+  }
+}
+
 // -- IntervalJoinNode --------------------------------------------------------
 
 Status IntervalJoinNode::Open(ExecState& state) {
@@ -356,7 +398,7 @@ Status IntervalJoinNode::Open(ExecState& state) {
   matches_.clear();
   next_match_ = 0;
   Result<IntervalIndexView> index =
-      right_table_->GetIntervalIndex(right_column_, state.eval->tx);
+      probe_.table->GetIntervalIndex(probe_.column, state.eval->tx);
   if (!index.ok()) return index.status();
   index_ = std::move(*index);
   return Status::OK();
@@ -370,35 +412,15 @@ Result<bool> IntervalJoinNode::Next(ExecState& state, Row* out) {
       // the contract only invalidates it at the next call into left_.
       TIP_ASSIGN_OR_RETURN(left_row_, left_->NextBorrowed(state));
       if (left_row_ == nullptr) return false;
-      matches_.clear();
       next_match_ = 0;
-      TupleCtx tuple{left_row_, state.outer};
-      Datum slot;
-      TIP_ASSIGN_OR_RETURN(const Datum* probe,
-                           left_probe_->Eval(tuple, *state.eval, &slot));
-      if (!probe->is_null()) {
-        TIP_ASSIGN_OR_RETURN(IntervalKey key,
-                             probe_key_fn_(*probe, state.eval->tx));
-        if (!key.empty) {
-          index_.FindOverlapping(key.start, key.end, &matches_);
-        }
-      }
+      TIP_RETURN_IF_ERROR(probe_.FindCandidates(
+          index_, TupleCtx{left_row_, state.outer}, *state.eval, &matches_));
     }
     while (next_match_ < matches_.size()) {
-      const Row* right_row = right_table_->heap().Get(matches_[next_match_++]);
-      if (right_row == nullptr) continue;
-      out->clear();
-      out->reserve(left_row_->size() + right_row->size());
-      out->insert(out->end(), left_row_->begin(), left_row_->end());
-      out->insert(out->end(), right_row->begin(), right_row->end());
-      if (residual_ != nullptr) {
-        TupleCtx tuple{out, state.outer};
-        TIP_ASSIGN_OR_RETURN(bool pass,
-                             PredicatePasses(*residual_, tuple,
-                                             *state.eval));
-        if (!pass) continue;
-      }
-      return true;
+      TIP_ASSIGN_OR_RETURN(bool joined,
+                           probe_.Join(*left_row_, matches_[next_match_++],
+                                       state.outer, *state.eval, out));
+      if (joined) return true;
     }
     left_row_ = nullptr;
   }
@@ -407,14 +429,7 @@ Result<bool> IntervalJoinNode::Next(ExecState& state, Row* out) {
 void IntervalJoinNode::Explain(int depth, std::string* out) const {
   ExecNode::Explain(depth, out);
   left_->Explain(depth + 1, out);
-  out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-  out->append("IndexProbe(" + right_table_->name() + ")\n");
-  std::optional<IndexStatsSnapshot> stats =
-      right_table_->IntervalIndexStats(right_column_);
-  if (stats.has_value()) {
-    out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-    out->append("IndexStats(" + FormatMetrics(IndexMetrics(*stats)) + ")\n");
-  }
+  probe_.Explain(depth + 1, out);
 }
 
 // -- SortNode ----------------------------------------------------------------

@@ -257,40 +257,56 @@ class HashJoinNode final : public ExecNode {
                          ExecState& state) const;
 };
 
+/// The right side of an interval index join and the per-left-row work
+/// that the serial and the morsel-driven join share: probe the right
+/// table's interval index with the bounding interval of the left row's
+/// probe value, then fetch each candidate and keep the combined rows
+/// the residual accepts. The probe over-approximates `overlaps` (an
+/// Element's bounding period covers its gaps), so the residual must
+/// carry the exact predicate.
+struct IntervalJoinProbe {
+  const Table* table = nullptr;  // the right table
+  size_t column = 0;             // its interval-indexed column
+  BoundExprPtr probe;            // evaluated over the left row
+  IntervalKeyFn key_fn;
+  BoundExprPtr residual;  // over the combined row; may be null
+
+  /// Replaces *candidates with the right rows whose bounding intervals
+  /// overlap the probe value of `left` (none when it is NULL or empty).
+  Status FindCandidates(const IntervalIndexView& index, const TupleCtx& left,
+                        EvalContext& ctx,
+                        std::vector<RowId>* candidates) const;
+  /// Builds `left` ++ the candidate row into *out. False when the
+  /// candidate has been deleted or the residual rejects the pair.
+  Result<bool> Join(const Row& left, RowId candidate, const TupleCtx* outer,
+                    EvalContext& ctx, Row* out) const;
+  /// "table.column", for operator names.
+  std::string Target() const;
+  /// EXPLAIN's IndexProbe line and the index's IndexStats line.
+  void Explain(int depth, std::string* out) const;
+};
+
 /// Index nested-loop join on a temporal overlap predicate: for every
 /// left row, the probe expression's bounding interval is looked up in
-/// the right table's interval index. The exact `overlaps` predicate must
-/// be applied as a residual by the caller.
+/// the right table's interval index.
 class IntervalJoinNode final : public ExecNode {
  public:
-  IntervalJoinNode(ExecNodePtr left, const Table* right_table,
-                   size_t right_column, BoundExprPtr left_probe,
-                   IntervalKeyFn probe_key_fn, BoundExprPtr residual)
-      : left_(std::move(left)),
-        right_table_(right_table),
-        right_column_(right_column),
-        left_probe_(std::move(left_probe)),
-        probe_key_fn_(std::move(probe_key_fn)),
-        residual_(std::move(residual)) {}
+  IntervalJoinNode(ExecNodePtr left, IntervalJoinProbe probe)
+      : left_(std::move(left)), probe_(std::move(probe)) {}
 
   Status Open(ExecState& state) override;
   Result<bool> Next(ExecState& state, Row* out) override;
   size_t output_arity() const override {
-    return left_->output_arity() + right_table_->columns().size();
+    return left_->output_arity() + probe_.table->columns().size();
   }
   std::string DebugName() const override {
-    return "IntervalIndexJoin(" + right_table_->name() + "." +
-           right_table_->columns()[right_column_].name + ")";
+    return "IntervalIndexJoin(" + probe_.Target() + ")";
   }
   void Explain(int depth, std::string* out) const override;
 
  private:
   ExecNodePtr left_;
-  const Table* right_table_;
-  size_t right_column_;
-  BoundExprPtr left_probe_;
-  IntervalKeyFn probe_key_fn_;
-  BoundExprPtr residual_;  // may be null
+  IntervalJoinProbe probe_;
 
   IntervalIndexView index_;
   const Row* left_row_ = nullptr;  // borrowed from left_

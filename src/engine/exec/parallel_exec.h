@@ -1,18 +1,15 @@
 #ifndef TIP_ENGINE_EXEC_PARALLEL_EXEC_H_
 #define TIP_ENGINE_EXEC_PARALLEL_EXEC_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "engine/catalog/catalog.h"
 #include "engine/exec/exec_node.h"
 
@@ -22,6 +19,12 @@ namespace tip::engine {
 /// workers load-balance across skewed filters, large enough that the
 /// claim (one atomic add) is noise next to the per-row work.
 inline constexpr uint32_t kPagesPerMorsel = 8;
+
+/// Parallel operators are planned only over tables whose live rows fill
+/// at least two morsels (4,096 rows): below that there is at most one
+/// morsel's work to split, and the fork-join costs more than it saves.
+inline constexpr size_t kParallelMinRows =
+    2 * size_t{kPagesPerMorsel} * kRowsPerPage;
 
 /// What one worker did during one parallel execution.
 struct WorkerCounters {
@@ -66,19 +69,50 @@ class ParallelStatsRegistry {
   std::map<std::string, std::unique_ptr<ParallelStats>> by_table_;
 };
 
-/// Morsel-driven parallel scan: Open carves the heap into page-range
-/// morsels claimed atomically by the workers, each of which runs the
-/// pushed filter over its morsels. Surviving rows are buffered as
-/// RowIds in morsel order (so output order matches the serial
-/// SeqScan+Filter plan) and handed out borrowed from the heap.
-class ParallelScanNode final : public ExecNode {
+/// Base of the morsel-driven operators. Open carves `table`'s heap into
+/// page-range morsels that workers claim atomically; each worker runs
+/// the pushed filter over its morsels and hands the surviving rows to
+/// the operator's per-row step. The scaffolding (worker count, guard
+/// checks, memory charges, the serial retry, counters) lives once, in
+/// RunMorsels; a subclass supplies only its step and its output.
+class MorselNode : public ExecNode {
  public:
-  ParallelScanNode(const Table* table, BoundExprPtr predicate,
-                   size_t workers, ParallelStats* stats)
+  /// Prints the node, its Parallel/ParallelStats lines and the morsel
+  /// scan it reads.
+  void Explain(int depth, std::string* out) const override;
+
+ protected:
+  MorselNode(const Table* table, BoundExprPtr filter, size_t workers,
+             ParallelStats* stats)
       : table_(table),
-        predicate_(std::move(predicate)),
+        filter_(std::move(filter)),
         workers_(workers),
         stats_(stats) {}
+
+  /// Runs one parallel scan of table_ (defined in parallel_exec.cc,
+  /// the only place it is instantiated). `reset(workers, morsels)`
+  /// clears the operator's output before each attempt;
+  /// `step(worker, id, tuple)` consumes one row that passed filter_ and
+  /// returns how many rows it emitted.
+  template <typename Reset, typename Step>
+  Status RunMorsels(ExecState& state, Reset reset, Step step);
+
+  const Table* table_;
+  BoundExprPtr filter_;  // may be null
+  size_t workers_;
+  ParallelStats* stats_;  // may be null
+};
+
+/// Morsel-parallel scan with its pushed filter (a bare scan stays a
+/// serial SeqScan: collecting row ids does not pay on its own).
+/// Surviving rows are buffered as RowIds in morsel order, so output
+/// order matches the serial SeqScan+Filter plan, and handed out
+/// borrowed from the heap.
+class ParallelScanNode final : public MorselNode {
+ public:
+  ParallelScanNode(const Table* table, BoundExprPtr filter, size_t workers,
+                   ParallelStats* stats)
+      : MorselNode(table, std::move(filter), workers, stats) {}
 
   Status Open(ExecState& state) override;
   Result<bool> Next(ExecState& state, Row* out) override;
@@ -87,125 +121,63 @@ class ParallelScanNode final : public ExecNode {
   std::string DebugName() const override {
     return "ParallelSeqScan(" + table_->name() + ")";
   }
-  void Explain(int depth, std::string* out) const override;
 
  private:
-  const Table* table_;
-  BoundExprPtr predicate_;  // may be null (bare scan)
-  size_t workers_;
-  ParallelStats* stats_;  // may be null
-
   std::vector<RowId> matches_;
   size_t next_ = 0;
 };
 
-/// Fused morsel scan + filter + partial aggregation: every worker runs
-/// the whole per-row pipeline over its morsels into a thread-local group
-/// table, and the partials are folded together single-threaded via
-/// AggregateState::Merge before Final. Only planned when every
-/// aggregate's def is `mergeable`. Group output order is
-/// merge-dependent (SQL makes no promise without ORDER BY).
-class ParallelAggregateNode final : public ExecNode {
+/// Fused morsel scan + filter + global aggregation (no GROUP BY): every
+/// worker steps its own vector of AggregateStates, the partials are
+/// merged by position through AggregateState::Merge, and Final runs
+/// once. Only planned when every aggregate's def is `mergeable`.
+class ParallelAggregateNode final : public MorselNode {
  public:
-  ParallelAggregateNode(const Table* table, BoundExprPtr predicate,
-                        std::vector<BoundExprPtr> group_exprs,
+  ParallelAggregateNode(const Table* table, BoundExprPtr filter,
                         std::vector<AggregateSpec> aggregates,
-                        const TypeRegistry* types, size_t workers,
-                        ParallelStats* stats)
-      : table_(table),
-        predicate_(std::move(predicate)),
-        group_exprs_(std::move(group_exprs)),
-        aggregates_(std::move(aggregates)),
-        types_(types),
-        workers_(workers),
-        stats_(stats) {}
+                        size_t workers, ParallelStats* stats)
+      : MorselNode(table, std::move(filter), workers, stats),
+        aggregates_(std::move(aggregates)) {}
 
   Status Open(ExecState& state) override;
   Result<bool> Next(ExecState& state, Row* out) override;
-  size_t output_arity() const override {
-    return group_exprs_.size() + aggregates_.size();
-  }
+  size_t output_arity() const override { return aggregates_.size(); }
   std::string DebugName() const override {
     return "ParallelHashAggregate(" + table_->name() + ")";
   }
-  void Explain(int depth, std::string* out) const override;
 
  private:
-  struct Group {
-    uint64_t hash = 0;
-    std::vector<Datum> keys;
-    std::vector<std::unique_ptr<AggregateState>> states;
-  };
-  /// One worker's private group table plus its run bookkeeping.
-  struct LocalAgg {
-    std::vector<Group> groups;
-    std::unordered_multimap<uint64_t, size_t> index;
-    WorkerCounters counters;
-    Status status;
-  };
-
-  Result<Group*> FindOrCreateGroup(LocalAgg& local, uint64_t hash,
-                                   DatumRefs keys, EvalContext& eval);
-  Status ScanWorker(LocalAgg& local, MorselSource& source,
-                    std::atomic<bool>& failed, const TupleCtx* outer,
-                    EvalContext& eval);
-
-  const Table* table_;
-  BoundExprPtr predicate_;  // may be null
-  std::vector<BoundExprPtr> group_exprs_;
   std::vector<AggregateSpec> aggregates_;
-  const TypeRegistry* types_;
-  size_t workers_;
-  ParallelStats* stats_;  // may be null
 
-  std::vector<Row> results_;
-  size_t next_ = 0;
+  Row result_;
+  bool emitted_ = true;
 };
 
 /// Morsel-driven interval index join: workers scan left-table morsels,
 /// run the pushed left filter, and probe the shared (immutable)
 /// IntervalIndexView concurrently; joined rows are buffered per morsel
 /// so output order matches the serial IntervalJoinNode over a SeqScan.
-class ParallelIntervalJoinNode final : public ExecNode {
+class ParallelIntervalJoinNode final : public MorselNode {
  public:
-  ParallelIntervalJoinNode(const Table* left_table,
-                           BoundExprPtr left_predicate,
-                           const Table* right_table, size_t right_column,
-                           BoundExprPtr left_probe,
-                           IntervalKeyFn probe_key_fn, BoundExprPtr residual,
-                           size_t workers, ParallelStats* stats)
-      : left_table_(left_table),
-        left_predicate_(std::move(left_predicate)),
-        right_table_(right_table),
-        right_column_(right_column),
-        left_probe_(std::move(left_probe)),
-        probe_key_fn_(std::move(probe_key_fn)),
-        residual_(std::move(residual)),
-        workers_(workers),
-        stats_(stats) {}
+  ParallelIntervalJoinNode(const Table* left_table, BoundExprPtr left_filter,
+                           IntervalJoinProbe probe, size_t workers,
+                           ParallelStats* stats)
+      : MorselNode(left_table, std::move(left_filter), workers, stats),
+        probe_(std::move(probe)) {}
 
   Status Open(ExecState& state) override;
   Result<bool> Next(ExecState& state, Row* out) override;
   Result<const Row*> NextBorrowed(ExecState&) override;
   size_t output_arity() const override {
-    return left_table_->columns().size() + right_table_->columns().size();
+    return table_->columns().size() + probe_.table->columns().size();
   }
   std::string DebugName() const override {
-    return "ParallelIntervalIndexJoin(" + right_table_->name() + "." +
-           right_table_->columns()[right_column_].name + ")";
+    return "ParallelIntervalIndexJoin(" + probe_.Target() + ")";
   }
   void Explain(int depth, std::string* out) const override;
 
  private:
-  const Table* left_table_;
-  BoundExprPtr left_predicate_;  // may be null
-  const Table* right_table_;
-  size_t right_column_;
-  BoundExprPtr left_probe_;
-  IntervalKeyFn probe_key_fn_;
-  BoundExprPtr residual_;  // may be null
-  size_t workers_;
-  ParallelStats* stats_;  // may be null
+  IntervalJoinProbe probe_;
 
   std::vector<Row> results_;
   size_t next_ = 0;

@@ -664,11 +664,11 @@ class SelectPlanner {
   }
 
   // True when a morsel-parallel operator over `table` is worth planning:
-  // the session asked for workers and the estimated input (the heap's
-  // live row count) clears the threshold.
+  // the session asked for workers and the table's live rows fill at
+  // least two morsels.
   bool ParallelEligible(const Table* table) const {
     return ctx_.parallel_workers >= 2 && table != nullptr &&
-           table->heap().row_count() >= ctx_.parallel_min_rows;
+           table->heap().row_count() >= kParallelMinRows;
   }
 
   ParallelStats* StatsFor(const Table* table) const {
@@ -838,10 +838,11 @@ Result<ExecNodePtr> SelectPlanner::BuildScan(size_t table_pos,
         scan0_plain_heap_ = true;
         scan0_pushed_.assign(pushed.begin(), pushed.end());
       }
-      if (ParallelEligible(table)) {
-        // Morsel-parallel scan with the filter run inside the workers.
-        // Only non-subquery conjuncts are ever pushed into scans, so
-        // evaluating them from worker threads is safe.
+      if (!pushed.empty() && ParallelEligible(table)) {
+        // Morsel-parallel scan with the filter run inside the workers
+        // (a bare scan stays serial: its workers would only collect row
+        // ids). Only non-subquery conjuncts are ever pushed into scans,
+        // so evaluating them from worker threads is safe.
         std::vector<BoundExprPtr> preds;
         ExprBinder binder(ctx_, &scan_scope);
         for (Conjunct* c : pushed) {
@@ -941,6 +942,9 @@ Result<ExecNodePtr> SelectPlanner::JoinNext(ExecNodePtr left,
           residuals.push_back(std::move(p));
           rc->placed = true;
         }
+        IntervalJoinProbe join_probe{table, res->index, std::move(probe),
+                                     *key_fn,
+                                     AndTogether(std::move(residuals))};
         // Morsel-parallel variant: valid only when the left subtree is
         // exactly table 0's plain heap scan (so it can be re-expressed
         // as a worker-side morsel loop) and the scan is large enough to
@@ -950,13 +954,11 @@ Result<ExecNodePtr> SelectPlanner::JoinNext(ExecNodePtr left,
           TIP_ASSIGN_OR_RETURN(BoundExprPtr left_pred,
                                BindScanZeroPredicate());
           return ExecNodePtr(new ParallelIntervalJoinNode(
-              layout_.tables[0], std::move(left_pred), table, res->index,
-              std::move(probe), *key_fn, AndTogether(std::move(residuals)),
+              layout_.tables[0], std::move(left_pred), std::move(join_probe),
               ctx_.parallel_workers, StatsFor(layout_.tables[0])));
         }
-        return ExecNodePtr(new IntervalJoinNode(
-            std::move(left), table, res->index, std::move(probe), *key_fn,
-            AndTogether(std::move(residuals))));
+        return ExecNodePtr(
+            new IntervalJoinNode(std::move(left), std::move(join_probe)));
       }
     }
   }
@@ -1222,16 +1224,19 @@ Result<PlannedSelect> SelectPlanner::Plan() {
                               spec.agg.result});
       specs.push_back(std::move(spec));
     }
-    // Fuse scan + filter + aggregation into one morsel-parallel
-    // operator when the whole input pipeline is just table 0's plain
-    // heap scan with fully pushed conjuncts (a subquery conjunct would
-    // have left a Filter above the scan, and subqueries cannot run on
-    // worker threads) and every aggregate supports Merge. Group keys
-    // and aggregate arguments are subquery-free here: grouped queries
-    // reject subqueries above the aggregation outright.
+    // Fuse scan + filter + global aggregation into one morsel-parallel
+    // operator when there is no GROUP BY (grouped aggregation stays
+    // serial: merging per-worker group tables does not pay), the whole
+    // input pipeline is just table 0's plain heap scan with fully
+    // pushed conjuncts (a subquery conjunct would have left a Filter
+    // above the scan, and subqueries cannot run on worker threads) and
+    // every aggregate supports Merge. Aggregate arguments are
+    // subquery-free here: aggregated queries reject subqueries above
+    // the aggregation outright.
     bool fuse_parallel =
-        layout_.tables.size() == 1 && layout_.tables[0] != nullptr &&
-        scan0_plain_heap_ && ParallelEligible(layout_.tables[0]);
+        group_bound.empty() && layout_.tables.size() == 1 &&
+        layout_.tables[0] != nullptr && scan0_plain_heap_ &&
+        ParallelEligible(layout_.tables[0]);
     for (const Conjunct& c : conjuncts_) {
       if (c.info.has_subquery) fuse_parallel = false;
     }
@@ -1241,9 +1246,8 @@ Result<PlannedSelect> SelectPlanner::Plan() {
     if (fuse_parallel) {
       TIP_ASSIGN_OR_RETURN(BoundExprPtr pred, BindScanZeroPredicate());
       plan = ExecNodePtr(new ParallelAggregateNode(
-          layout_.tables[0], std::move(pred), std::move(group_bound),
-          std::move(specs), ctx_.types, ctx_.parallel_workers,
-          StatsFor(layout_.tables[0])));
+          layout_.tables[0], std::move(pred), std::move(specs),
+          ctx_.parallel_workers, StatsFor(layout_.tables[0])));
     } else {
       plan = ExecNodePtr(new AggregateNode(std::move(plan),
                                            std::move(group_bound),

@@ -44,12 +44,12 @@ struct PlannerContext {
   bool enable_hash_join = true;
   bool enable_interval_join = true;
 
-  // Parallel execution (SET parallel_workers / parallel_min_rows).
-  // Parallel operators are only planned with parallel_workers >= 2 and
-  // an estimated scan input of at least parallel_min_rows rows, so the
-  // default session runs the unchanged serial plans.
+  // Parallel execution (SET parallel_workers). Parallel operators are
+  // only planned with parallel_workers >= 2, over a table whose live
+  // rows fill two morsels (kParallelMinRows), and only for the shapes
+  // that pay: a filtered scan, a global aggregate and the interval
+  // join. The default session runs the serial plans.
   size_t parallel_workers = 1;
-  size_t parallel_min_rows = 4096;
   /// Session-owned per-table counters published by parallel operators
   /// and read back by EXPLAIN; may be null (no recording).
   ParallelStatsRegistry* parallel_stats = nullptr;

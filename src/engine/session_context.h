@@ -54,7 +54,6 @@ struct SessionContext {
   std::atomic<int64_t> statement_timeout_ms{0};
   std::atomic<size_t> memory_limit_kb{0};
   std::atomic<size_t> parallel_workers{1};
-  std::atomic<size_t> parallel_min_rows{4096};
 };
 
 }  // namespace tip::engine

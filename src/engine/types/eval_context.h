@@ -10,7 +10,6 @@
 namespace tip::engine {
 
 class Datum;
-struct SessionContext;
 
 /// Per-statement evaluation state threaded through every routine, cast
 /// and aggregate invocation. The single most important field is the
@@ -33,14 +32,6 @@ struct EvalContext {
   /// into constants instead. Parallel workers building a private
   /// EvalContext must copy this pointer from the parent context.
   const std::vector<Datum>* params = nullptr;
-
-  /// Session the statement executes on behalf of, or null for the
-  /// engine's built-in global session (embedded client, C API, tests).
-  /// Routines that change per-session state (SET handled in SQL, the
-  /// statement guard) reach it through here; everything NOW-related
-  /// should keep using `tx`, which was grounded from the session when
-  /// the statement started.
-  const SessionContext* session = nullptr;
 
   EvalContext() = default;
   explicit EvalContext(TxContext tx_ctx) : tx(tx_ctx) {}

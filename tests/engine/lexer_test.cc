@@ -89,5 +89,19 @@ TEST(LexerTest, ParamSyntaxTokenizes) {
   EXPECT_EQ(tokens[1].text, "w");
 }
 
+TEST(LexerTest, SplitStatementsAtSemicolonTokens) {
+  const ScriptStatements split = SplitStatements(
+      "SELECT 'a;b'; -- c; 'd\n;; SELECT 2 ;\nINSERT INTO t VALUES ('x;\n");
+  ASSERT_EQ(split.complete.size(), 2u);
+  EXPECT_EQ(split.complete[0], "SELECT 'a;b'");
+  EXPECT_EQ(split.complete[1], "SELECT 2");
+  // An unfinished statement (here, inside an open string) is the rest,
+  // which an interactive shell keeps until more input arrives.
+  EXPECT_EQ(split.rest, "INSERT INTO t VALUES ('x;\n");
+  const ScriptStatements blank = SplitStatements("-- only a comment\n;");
+  EXPECT_TRUE(blank.complete.empty());
+  EXPECT_TRUE(blank.rest.empty());
+}
+
 }  // namespace
 }  // namespace tip::engine

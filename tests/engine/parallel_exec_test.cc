@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "engine/exec/parallel_exec.h"
 #include "engine/storage/heap_table.h"
 #include "workload/medical.h"
 
@@ -135,7 +136,8 @@ class ParallelExecTest : public ::testing::Test {
     ASSERT_TRUE(db_.Execute("SET NOW '1999-11-15'").ok());
     workload::MedicalConfig config;
     // Large enough to span several 8-page (2048-row) morsels, so
-    // multi-worker claiming and partial-aggregate merging really run.
+    // parallel plans are eligible (kParallelMinRows) and multi-worker
+    // claiming and partial-aggregate merging really run.
     config.seed = 77;
     config.rows = 10000;
     config.num_patients = 25;
@@ -147,9 +149,19 @@ class ParallelExecTest : public ::testing::Test {
     ASSERT_TRUE(
         db_.Execute("CREATE INDEX rx_valid ON rx (valid) USING interval")
             .ok());
-    // The test table is small; drop the threshold so parallel plans
-    // actually engage.
-    ASSERT_TRUE(db_.Execute("SET parallel_min_rows 1").ok());
+  }
+
+  // Loads a prescription table of `rows` rows named `name`.
+  void LoadTable(const std::string& name, int64_t rows, uint64_t seed) {
+    workload::MedicalConfig config;
+    config.seed = seed;
+    config.rows = rows;
+    config.num_patients = 25;
+    config.num_drugs = 8;
+    config.now_relative_fraction = 0.3;
+    ASSERT_TRUE(workload::SetUpPrescriptionTable(
+                    &db_, *datablade::TipTypes::Lookup(db_), config, name)
+                    .ok());
   }
 
   std::vector<std::string> Rows(const std::string& sql) {
@@ -182,6 +194,9 @@ class ParallelExecTest : public ::testing::Test {
   }
 
   void ExpectParallelMatchesSerial(const std::string& sql) {
+    ASSERT_TRUE(db_.Execute("SET parallel_workers 4").ok());
+    EXPECT_NE(ExplainText(sql).find("Parallel("), std::string::npos)
+        << sql << " plans no parallel operator";
     ASSERT_TRUE(db_.Execute("SET parallel_workers 1").ok());
     std::vector<std::string> serial = Rows(sql);
     for (int workers : {2, 4, 8}) {
@@ -208,38 +223,51 @@ TEST_F(ParallelExecTest, GlobalCountMatchesSerial) {
       "FROM rx WHERE dosage >= 20");
 }
 
+// Every mergeable aggregate in its global form, the only aggregation
+// that runs in parallel: count, sum over INT and DOUBLE, avg, min, max
+// and the DataBlade's group_union, group_intersect and sum over Span.
+TEST_F(ParallelExecTest, GlobalMergeableAggregatesMatchSerial) {
+  ExpectParallelMatchesSerial(
+      "SELECT count(dosage), sum(dosage), sum(dosage * 0.5), avg(dosage), "
+      "min(drug), max(dosage) FROM rx");
+  ExpectParallelMatchesSerial(
+      "SELECT count(*), sum(dosage * 0.5), min(dosage), max(drug) FROM rx "
+      "WHERE patient = 'patient0003'");
+}
+
 TEST_F(ParallelExecTest, GroupUnionAggregationMatchesSerial) {
   ExpectParallelMatchesSerial(
-      "SELECT patient, length(group_union(valid)) / '0 00:00:01'::Span "
-      "FROM rx GROUP BY patient ORDER BY patient");
+      "SELECT length(group_union(valid)) / '0 00:00:01'::Span FROM rx");
+  ExpectParallelMatchesSerial(
+      "SELECT length(group_union(valid)) / '0 00:00:01'::Span FROM rx "
+      "WHERE patient = 'patient0003'");
 }
 
 TEST_F(ParallelExecTest, GroupIntersectAndSumSpanMatchSerial) {
   ExpectParallelMatchesSerial(
-      "SELECT drug, length(group_intersect(valid)) / '0 00:00:01'::Span, "
-      "sum(length(valid)) / '0 00:00:01'::Span "
-      "FROM rx GROUP BY drug ORDER BY drug");
+      "SELECT length(group_intersect(valid)) / '0 00:00:01'::Span, "
+      "sum(length(valid)) / '0 00:00:01'::Span FROM rx");
+  // Every row that passes contains one instant, so the intersection is
+  // not empty.
+  ExpectParallelMatchesSerial(
+      "SELECT length(group_intersect(valid)) / '0 00:00:01'::Span, "
+      "sum(length(valid)) / '0 00:00:01'::Span FROM rx "
+      "WHERE contains(valid, '1995-03-01'::Chronon)");
 }
 
 TEST_F(ParallelExecTest, IntervalJoinMatchesSerial) {
-  // Self-join cost is quadratic; use a smaller table that still spans
-  // more than one morsel so several workers probe the shared index.
-  workload::MedicalConfig config;
-  config.seed = 178;
-  config.rows = 2500;
-  config.num_patients = 25;
-  config.num_drugs = 8;
-  config.now_relative_fraction = 0.3;
-  ASSERT_TRUE(workload::SetUpPrescriptionTable(
-                  &db_, *datablade::TipTypes::Lookup(db_), config, "rxj")
-                  .ok());
+  // Self-join cost is quadratic: use the smallest table that is still
+  // eligible (two morsels), so several workers probe the shared index,
+  // and a left filter that keeps the probes few.
+  LoadTable("rxj", kParallelMinRows, 178);
   ASSERT_TRUE(
       db_.Execute("CREATE INDEX rxj_valid ON rxj (valid) USING interval")
           .ok());
   ExpectParallelMatchesSerial(
       "SELECT count(*) FROM rxj p1, rxj p2 "
-      "WHERE p1.drug = 'drug0001' AND p2.drug = 'drug0002' "
-      "AND p1.patient = p2.patient AND overlaps(p1.valid, p2.valid)");
+      "WHERE p1.drug = 'drug0001' AND p1.dosage = 1 "
+      "AND p2.drug = 'drug0002' AND p1.patient = p2.patient "
+      "AND overlaps(p1.valid, p2.valid)");
 }
 
 TEST_F(ParallelExecTest, EmptyInputGlobalAggregateStillOneRow) {
@@ -254,8 +282,7 @@ TEST_F(ParallelExecTest, EmptyInputGlobalAggregateStillOneRow) {
 TEST_F(ParallelExecTest, ExplainShowsParallelismAndCounters) {
   ASSERT_TRUE(db_.Execute("SET parallel_workers 4").ok());
   const std::string agg =
-      "SELECT patient, length(group_union(valid)) / '0 00:00:01'::Span "
-      "FROM rx GROUP BY patient";
+      "SELECT length(group_union(valid)) / '0 00:00:01'::Span FROM rx";
 
   std::string plan = ExplainText(agg);
   EXPECT_NE(plan.find("ParallelHashAggregate(rx)"), std::string::npos)
@@ -270,18 +297,52 @@ TEST_F(ParallelExecTest, ExplainShowsParallelismAndCounters) {
   EXPECT_NE(plan.find("ParallelStats(runs="), std::string::npos) << plan;
   EXPECT_NE(plan.find("w0{morsels="), std::string::npos) << plan;
 
-  // Serial sessions plan the unchanged serial operators.
+  // Serial sessions plan the serial operators.
   ASSERT_TRUE(db_.Execute("SET parallel_workers 1").ok());
   plan = ExplainText(agg);
   EXPECT_EQ(plan.find("Parallel"), std::string::npos) << plan;
   EXPECT_NE(plan.find("HashAggregate"), std::string::npos) << plan;
 }
 
-TEST_F(ParallelExecTest, ThresholdKeepsSmallTablesSerial) {
+// Only the shapes that pay run in parallel: a filtered scan, a global
+// aggregate and the interval join. A bare scan and GROUP BY stay
+// serial at any worker count.
+TEST_F(ParallelExecTest, PlanShapesAtFourWorkers) {
   ASSERT_TRUE(db_.Execute("SET parallel_workers 4").ok());
-  ASSERT_TRUE(db_.Execute("SET parallel_min_rows 100000").ok());
-  std::string plan = ExplainText("SELECT count(*) FROM rx");
-  EXPECT_EQ(plan.find("Parallel"), std::string::npos) << plan;
+  const struct {
+    std::string sql;
+    std::string op;  // the expected root or scan operator
+    bool parallel;
+  } cases[] = {
+      {"SELECT drug, valid FROM rx WHERE patient = 'patient0003'",
+       "ParallelSeqScan(rx)", true},
+      {"SELECT count(*) FROM rx", "ParallelHashAggregate(rx)", true},
+      {"SELECT count(*) FROM rx p1, rx p2 WHERE p1.drug = 'drug0001' "
+       "AND p2.drug = 'drug0002' AND p1.patient = p2.patient "
+       "AND overlaps(p1.valid, p2.valid)",
+       "ParallelIntervalIndexJoin(rx.valid)", true},
+      {"SELECT length(valid) FROM rx", "SeqScan(rx)", false},
+      {"SELECT patient, count(*) FROM rx GROUP BY patient", "HashAggregate",
+       false},
+  };
+  for (const auto& c : cases) {
+    const std::string plan = ExplainText(c.sql);
+    EXPECT_NE(plan.find(c.op), std::string::npos) << c.sql << "\n" << plan;
+    EXPECT_EQ(plan.find("Parallel(") != std::string::npos, c.parallel)
+        << c.sql << "\n" << plan;
+  }
+}
+
+TEST_F(ParallelExecTest, ThresholdKeepsSmallTablesSerial) {
+  // One row short of filling two morsels.
+  LoadTable("rxs", kParallelMinRows - 1, 91);
+  ASSERT_TRUE(db_.Execute("SET parallel_workers 4").ok());
+  for (const std::string sql :
+       {"SELECT count(*) FROM rxs",
+        "SELECT drug FROM rxs WHERE patient = 'patient0003'"}) {
+    const std::string plan = ExplainText(sql);
+    EXPECT_EQ(plan.find("Parallel"), std::string::npos) << plan;
+  }
 }
 
 // -- Concurrent sessions + NOW flips -----------------------------------------
@@ -302,8 +363,7 @@ TEST_F(ParallelExecTest, ConcurrentQueriesUnderNowFlips) {
       "SELECT count(*) FROM rx WHERE overlaps(valid, "
       "'{[1993-01-01, 2001-01-01]}'::Element)",
       // group_union aggregation whose result depends on NOW.
-      "SELECT patient, length(group_union(valid)) / '0 00:00:01'::Span "
-      "FROM rx GROUP BY patient ORDER BY patient",
+      "SELECT length(group_union(valid)) / '0 00:00:01'::Span FROM rx",
   };
 
   std::vector<std::vector<std::string>> expect_a, expect_b;

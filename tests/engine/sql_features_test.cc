@@ -233,6 +233,26 @@ TEST_F(SqlFeaturesTest, ExecuteScriptRunsStatementsInOrder) {
   last = db_.ExecuteScript("SELECT 'a;b' ;");
   ASSERT_TRUE(last.ok());
   EXPECT_EQ(Flat(*last), "a;b");
+  last = db_.ExecuteScript("SELECT 'a;b';");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(Flat(*last), "a;b");
+  // Quotes and semicolons inside comments neither open a string nor
+  // split a statement, and a trailing comment is not a statement.
+  last = db_.ExecuteScript(
+      "INSERT INTO s VALUES (3);\n"
+      "-- don't split here\n"
+      "INSERT INTO s VALUES (4);\n"
+      "SELECT sum(x) FROM s;");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(Flat(*last), "28");
+  last = db_.ExecuteScript(
+      "INSERT INTO s VALUES (5); -- one; two\n"
+      "SELECT sum(x) FROM s;");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(Flat(*last), "33");
+  last = db_.ExecuteScript("SELECT 1;\n-- done\n");
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(Flat(*last), "1");
   // First error stops the script.
   EXPECT_FALSE(db_.ExecuteScript("SELECT 1; SELECT nosuch; "
                                  "CREATE TABLE never (x INT);").ok());

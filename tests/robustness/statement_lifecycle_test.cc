@@ -70,11 +70,27 @@ TEST_F(StatementLifecycleTest, SerialTimeoutTripsAndClears) {
 }
 
 TEST_F(StatementLifecycleTest, ParallelTimeoutTrips) {
+  // Parallel plans need a table whose rows fill two 2048-row morsels.
+  Exec("CREATE TABLE big (id INT, grp INT)");
+  for (int batch = 0; batch < 9; ++batch) {
+    std::string insert = "INSERT INTO big VALUES ";
+    for (int i = 0; i < 512; ++i) {
+      if (i > 0) insert += ", ";
+      insert += "(" + std::to_string(batch * 512 + i) + ", " +
+                std::to_string(i % 7) + ")";
+    }
+    Exec(insert);
+  }
   Exec("SET parallel_workers 4");
-  Exec("SET parallel_min_rows 1");
+  const std::string sql =
+      "SELECT count(*) FROM big WHERE tip_sleep_ms(5) > 0";
+  std::string plan;
+  for (const Row& row : Exec("EXPLAIN " + sql).rows) {
+    plan += row[0].string_value() + "\n";
+  }
+  ASSERT_NE(plan.find("ParallelHashAggregate"), std::string::npos) << plan;
   Exec("SET statement_timeout_ms 20");
-  Result<ResultSet> r = db_.Execute(
-      "SELECT grp, count(*) FROM t WHERE tip_sleep_ms(5) > 0 GROUP BY grp");
+  Result<ResultSet> r = db_.Execute(sql);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
 }

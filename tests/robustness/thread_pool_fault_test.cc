@@ -102,10 +102,8 @@ class ParallelFallbackTest : public ::testing::Test {
     ASSERT_TRUE(datablade::Install(&db_).ok());
     Exec("SET NOW '1999-11-15'");
     Exec("SET parallel_workers 4");
-    Exec("SET parallel_min_rows 1");
     Exec("CREATE TABLE t (id INT, grp INT)");
-    // At 256 rows/page and 8 pages/morsel, a genuinely parallel plan
-    // (>= 2 morsels, so >= 2 workers) needs more than 2048 rows.
+    // Parallel plans need a table whose rows fill two 2048-row morsels.
     for (int batch = 0; batch < 10; ++batch) {
       std::string insert = "INSERT INTO t VALUES ";
       for (int i = 0; i < 512; ++i) {
@@ -126,24 +124,34 @@ class ParallelFallbackTest : public ::testing::Test {
     return r.ok() ? std::move(*r) : engine::ResultSet{};
   }
 
+  std::string Explain(std::string_view sql) {
+    std::string plan;
+    for (const engine::Row& row : Exec("EXPLAIN " + std::string(sql)).rows) {
+      plan += row[0].string_value() + "\n";
+    }
+    return plan;
+  }
+
   engine::Database db_;
 };
 
+constexpr char kParallelQuery[] =
+    "SELECT count(*), sum(id), min(id), max(id) FROM t WHERE grp <> 2";
+
 TEST_F(ParallelFallbackTest, DeadWorkerRetriesSeriallyWithSameAnswer) {
-  const engine::ResultSet expect =
-      Exec("SELECT grp, count(*) FROM t GROUP BY grp ORDER BY grp");
+  const std::string plan = Explain(kParallelQuery);
+  ASSERT_NE(plan.find("ParallelHashAggregate"), std::string::npos) << plan;
+  const engine::ResultSet expect = Exec(kParallelQuery);
   const int64_t before =
       Exec("SELECT tip_guard_stats('parallel_fallbacks')")
           .rows[0][0].int_value();
   // Kill the first parallel worker launched: the operator must retry
   // the whole fork-join serially and return the identical result.
   fault::InjectAt("parallel.worker", 0);
-  const engine::ResultSet got =
-      Exec("SELECT grp, count(*) FROM t GROUP BY grp ORDER BY grp");
-  ASSERT_EQ(got.rows.size(), expect.rows.size());
-  for (size_t i = 0; i < expect.rows.size(); ++i) {
-    EXPECT_EQ(got.rows[i][0].int_value(), expect.rows[i][0].int_value());
-    EXPECT_EQ(got.rows[i][1].int_value(), expect.rows[i][1].int_value());
+  const engine::ResultSet got = Exec(kParallelQuery);
+  ASSERT_EQ(got.rows.size(), 1u);
+  for (size_t i = 0; i < expect.rows[0].size(); ++i) {
+    EXPECT_EQ(got.rows[0][i].int_value(), expect.rows[0][i].int_value());
   }
   const int64_t after =
       Exec("SELECT tip_guard_stats('parallel_fallbacks')")
@@ -151,29 +159,47 @@ TEST_F(ParallelFallbackTest, DeadWorkerRetriesSeriallyWithSameAnswer) {
   EXPECT_GE(after, before + 1);
 }
 
-TEST_F(ParallelFallbackTest, DeadWorkerOnSingleMorselPlanRetries) {
-  // A table small enough for one morsel plans the parallel operator at
-  // n = 1; a worker crash there must get the same serial retry instead
-  // of failing the statement.
-  Exec("CREATE TABLE small (id INT, grp INT)");
-  std::string insert = "INSERT INTO small VALUES ";
-  for (int i = 0; i < 300; ++i) {
-    if (i > 0) insert += ", ";
-    insert += "(" + std::to_string(i) + ", " + std::to_string(i % 3) + ")";
+TEST_F(ParallelFallbackTest, DeadWorkerOnSaturatedPoolRetries) {
+  // A saturated shared pool plans the parallel operator at n = 1, on
+  // the calling thread alone; a worker crash there must get the same
+  // serial retry instead of failing the statement. A fork-join held
+  // open from an outside thread takes the whole pool: each held body
+  // runs on a pool thread or waits in its queue, and both count as
+  // busy.
+  ThreadPool& pool = ThreadPool::Shared();
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    Status s = pool.RunOnWorkers(pool.max_threads() + 1,
+                                 [&](size_t) -> Status {
+                                   while (!release.load()) {
+                                     std::this_thread::sleep_for(
+                                         std::chrono::milliseconds(1));
+                                   }
+                                   return Status::OK();
+                                 });
+    EXPECT_TRUE(s.ok());
+  });
+  for (int i = 0; i < 10000 && pool.ApproxAvailable() != 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  Exec(insert);
+  const size_t available = pool.ApproxAvailable();
+
   const int64_t before =
       Exec("SELECT tip_guard_stats('parallel_fallbacks')")
           .rows[0][0].int_value();
   fault::InjectAt("parallel.worker", 0);
-  const engine::ResultSet got =
-      Exec("SELECT grp, count(*) FROM small GROUP BY grp ORDER BY grp");
-  ASSERT_EQ(got.rows.size(), 3u);
-  EXPECT_EQ(got.rows[0][1].int_value(), 100);
+  const engine::ResultSet got = Exec(kParallelQuery);
+  release.store(true);
+  holder.join();
+  EXPECT_EQ(available, 0u);
+  ASSERT_EQ(got.rows.size(), 1u);
+  // grp = id % 5 over ids 0..5119: four of every five ids pass.
+  EXPECT_EQ(got.rows[0][0].int_value(), 4096);
   const int64_t after =
       Exec("SELECT tip_guard_stats('parallel_fallbacks')")
           .rows[0][0].int_value();
-  EXPECT_GE(after, before + 1);
+  // One fallback for the saturated pool, one for the retry.
+  EXPECT_GE(after, before + 2);
 }
 
 }  // namespace

@@ -48,6 +48,12 @@ size_t ThreadPool::DefaultMaxThreads() {
   return std::max<size_t>(hw, 8);
 }
 
+size_t ThreadPool::CoreCount() {
+  static const size_t cores =
+      std::max<unsigned>(std::thread::hardware_concurrency(), 1);
+  return cores;
+}
+
 ThreadPool& ThreadPool::Shared() {
   // Leaked on purpose: pool threads must never outlive their pool, and
   // static destruction order at exit cannot guarantee that for a

@@ -67,6 +67,11 @@ class ThreadPool {
   /// oversubscribe small machines deterministically.
   static size_t DefaultMaxThreads();
 
+  /// The machine's core count (hardware_concurrency, at least 1), read
+  /// once: the default cap on a statement's workers, and a bound on
+  /// them whatever the cap.
+  static size_t CoreCount();
+
   /// The process-wide pool shared by query execution. Never destroyed
   /// (intentionally leaked) so worker threads cannot race static
   /// destruction at exit.

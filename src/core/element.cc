@@ -254,6 +254,20 @@ Element Element::FromPeriods(std::vector<Period> periods) {
   if (!all_absolute) {
     return Element(std::move(periods), /*absolute_canonical=*/false);
   }
+  // Input that is already canonical (each period in order, and each
+  // starting more than a second after the previous one ends) is kept as
+  // it is: the normal case for every decoded value (wire, snapshot,
+  // WAL), which were canonical when they were encoded.
+  bool in_order = true;
+  for (size_t i = 0; in_order && i < periods.size(); ++i) {
+    const int64_t start = periods[i].start().chronon().seconds();
+    in_order = start <= periods[i].end().chronon().seconds() &&
+               (i == 0 ||
+                start > periods[i - 1].end().chronon().seconds() + 1);
+  }
+  if (in_order) {
+    return Element(std::move(periods), /*absolute_canonical=*/true);
+  }
   // Eager normalization of the all-absolute fast path. Absolute periods
   // built through the validating factories satisfy start <= end, but the
   // unchecked Period(Instant, Instant) constructor can smuggle in an

@@ -76,6 +76,13 @@ Routine MakeRoutine(std::string name, std::vector<TypeId> params,
   return r;
 }
 
+// Marks a routine that changes database state: a statement that calls
+// it keeps its scans serial (see Routine::serial_only).
+Routine SerialOnly(Routine r) {
+  r.serial_only = true;
+  return r;
+}
+
 Status RegisterArithmetic(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId i = TypeId::kInt, d = TypeId::kDouble, s = TypeId::kString;
@@ -642,22 +649,22 @@ Status RegisterDurability(Database* db) {
 
   // tip_checkpoint() lets the torture harness (and operators) force a
   // snapshot + WAL truncation through plain SQL over the C API.
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
+  TIP_RETURN_IF_ERROR(reg.Register(SerialOnly(MakeRoutine(
       "tip_checkpoint", {}, TypeId::kInt,
       [db](DatumRefs, EvalContext&) -> Result<Datum> {
         TIP_RETURN_IF_ERROR(db->Checkpoint());
         return Datum::Int(
             static_cast<int64_t>(db->durability_stats().checkpoints));
-      })));
+      }))));
 
   // tip_sync_wal() forces the WAL to stable storage. Remote sessions
   // need it because RemoteConnection has no direct Database handle.
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
+  TIP_RETURN_IF_ERROR(reg.Register(SerialOnly(MakeRoutine(
       "tip_sync_wal", {}, TypeId::kInt,
       [db](DatumRefs, EvalContext&) -> Result<Datum> {
         TIP_RETURN_IF_ERROR(db->SyncWal());
         return Datum::Int(0);
-      })));
+      }))));
   return Status::OK();
 }
 
@@ -671,7 +678,7 @@ Status RegisterIntegrity(Database* db) {
   RoutineRegistry& reg = db->routines();
   const TypeId s = TypeId::kString;
 
-  TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
+  TIP_RETURN_IF_ERROR(reg.Register(SerialOnly(MakeRoutine(
       "tip_verify", {}, s,
       [db](DatumRefs, EvalContext& eval) -> Result<Datum> {
         uint64_t objects = 0;
@@ -725,7 +732,7 @@ Status RegisterIntegrity(Database* db) {
         return Datum::String("corrupt=" + std::to_string(corruptions) +
                              " objects=" + std::to_string(objects) + ": " +
                              bad);
-      })));
+      }))));
 
   TIP_RETURN_IF_ERROR(reg.Register(MakeRoutine(
       "tip_verify_dir", {s}, s,

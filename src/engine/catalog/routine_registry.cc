@@ -66,6 +66,10 @@ Status RoutineRegistry::Register(Routine routine) {
                                    "' already has this signature");
     }
   }
+  if (routine.serial_only) {
+    std::lock_guard<std::mutex> lock(serial_only_mu_);
+    serial_only_.insert(routine.name);
+  }
   routines_.push_back(std::move(routine));
   NotifyChanged();
   return Status::OK();
@@ -141,6 +145,10 @@ Status RoutineRegistry::Remove(std::string_view name) {
   if (removed == 0) {
     return Status::NotFound("no routine named '" + lower + "'");
   }
+  {
+    std::lock_guard<std::mutex> lock(serial_only_mu_);
+    serial_only_.erase(lower);
+  }
   NotifyChanged();
   return Status::OK();
 }
@@ -161,6 +169,12 @@ std::vector<const Routine*> RoutineRegistry::Overloads(
     if (r.name == lower) out.push_back(&r);
   }
   return out;
+}
+
+bool RoutineRegistry::SerialOnly(std::string_view name) const {
+  const std::string lower = ToLowerAscii(name);
+  std::lock_guard<std::mutex> lock(serial_only_mu_);
+  return serial_only_.count(lower) > 0;
 }
 
 }  // namespace tip::engine

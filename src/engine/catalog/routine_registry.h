@@ -3,6 +3,8 @@
 
 #include <deque>
 #include <functional>
+#include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +37,12 @@ struct Routine {
   /// Strict routines return NULL without being invoked when any argument
   /// is NULL (the SQL default).
   bool strict = true;
+  /// True for a routine that changes database state (a checkpoint, a
+  /// WAL sync, a checksum reseed) and for every CREATE FUNCTION routine,
+  /// whose body can call one. A statement that calls it scans serially,
+  /// so the routine never runs on two threads at once, and the server
+  /// runs it as a writer.
+  bool serial_only = false;
 };
 
 /// A routine selected by overload resolution, together with the implicit
@@ -81,6 +89,12 @@ class RoutineRegistry {
   /// Every overload registered under `name` (catalog introspection).
   std::vector<const Routine*> Overloads(std::string_view name) const;
 
+  /// True iff an overload registered under `name` is serial_only. Safe
+  /// from any thread, also while another thread registers or removes a
+  /// routine: the server classifies a statement by it before it takes
+  /// the gate that orders it after a CREATE FUNCTION.
+  bool SerialOnly(std::string_view name) const;
+
   /// Invoked after every successful Register/Remove. The Database routes
   /// this to its catalog-version bump: cached plans hold the raw Routine
   /// pointers Resolve handed out, and Remove erases their storage.
@@ -98,6 +112,9 @@ class RoutineRegistry {
   // for the duration of a statement.
   std::deque<Routine> routines_;
   std::function<void()> on_change_;
+  // The names with a serial_only overload, lower-case.
+  mutable std::mutex serial_only_mu_;
+  std::set<std::string> serial_only_;
 };
 
 }  // namespace tip::engine

@@ -247,28 +247,18 @@ Result<ResultSet> Database::ExecuteScript(std::string_view script) {
   return last;
 }
 
-StatementClass Database::Classify(const Statement& stmt,
-                                  std::string_view sql) {
+StatementClass Database::Classify(const Statement& stmt) const {
   switch (stmt.kind) {
     case Statement::Kind::kSelect:
-    case Statement::Kind::kExplain: {
-      // A SELECT is a reader unless it invokes one of the
-      // side-effectful admin routines: tip_checkpoint() rotates the
-      // WAL, tip_sync_wal() flushes the group-commit tail and
-      // tip_verify() reseeds table checksums — all mutations a shared
-      // holder must not make. Substring scan over the lowered text:
-      // conservative (a string literal naming the routine also
-      // upgrades), which errs toward exclusivity, never toward a
-      // racing writer.
-      const std::string lowered = ToLowerAscii(sql);
-      for (std::string_view routine :
-           {"tip_checkpoint", "tip_sync_wal", "tip_verify"}) {
-        if (lowered.find(routine) != std::string::npos) {
-          return StatementClass::kWriter;
-        }
-      }
-      return StatementClass::kReader;
-    }
+    case Statement::Kind::kExplain:
+      // A SELECT is a reader unless it calls a routine that changes
+      // database state: tip_checkpoint() rotates the WAL,
+      // tip_sync_wal() flushes the group-commit tail and tip_verify()
+      // reseeds table checksums — mutations a shared holder must not
+      // make — and a CREATE FUNCTION routine may call one of them.
+      return CallsSerialOnlyRoutine(*stmt.select, routines_)
+                 ? StatementClass::kWriter
+                 : StatementClass::kReader;
     // Transaction control only moves this session's own pin; the
     // writer slot is claimed (under the exclusive gate) by the first
     // write statement, not by BEGIN.
@@ -693,52 +683,43 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
         sets.emplace_back(static_cast<size_t>(idx), std::move(bound));
       }
 
-      // Phase 1: evaluate against a stable snapshot of matching rows.
-      // Guard checks live here only — once phase 2 starts applying, the
-      // statement runs to completion so an abort cannot leave a
-      // half-updated table.
-      std::vector<std::pair<RowId, Row>> changes;
-      std::vector<RowId> deletions;
-      // Rows are addressed in the WAL by live ordinal (position in this
+      // Phase 1: find the changed rows against a stable table, through
+      // the morsel driver. Guard checks live here only — once phase 2
+      // starts applying, the statement runs to completion so an abort
+      // cannot leave a half-updated table. A WHERE or SET expression
+      // with a subquery or a serial-only routine keeps the scan on this
+      // thread.
+      size_t cap = s->parallel_workers.load();
+      auto keeps_serial = [&](const Expr& e) {
+        return HasSubquery(e) || CallsSerialOnlyRoutine(e, routines_);
+      };
+      if (stmt.where != nullptr && keeps_serial(*stmt.where)) cap = 1;
+      for (const auto& [name, expr] : stmt.update_sets) {
+        if (keeps_serial(*expr)) cap = 1;
+      }
+      const bool is_delete = stmt.kind == Statement::Kind::kDelete;
+      // Rows are addressed in the WAL by live ordinal (position in the
       // scan), not RowId: snapshot restore compacts tombstones, so the
       // same logical row replays under a different RowId but the same
       // ordinal.
-      std::vector<uint64_t> delete_ordinals;
-      std::vector<uint64_t> change_ordinals;
-      uint64_t ordinal = 0;
-      HeapTable::Cursor cursor = table->heap().Scan();
-      RowId id;
-      const Row* row;
-      for (; cursor.Next(&id, &row); ++ordinal) {
-        TIP_RETURN_IF_ERROR(eval.CheckGuard());
-        TupleCtx tuple{row, nullptr};
-        if (where != nullptr) {
-          TIP_ASSIGN_OR_RETURN(
-              bool pass, exec_util::PredicatePasses(*where, tuple, eval));
-          if (!pass) continue;
-        }
-        if (stmt.kind == Statement::Kind::kDelete) {
-          deletions.push_back(id);
-          delete_ordinals.push_back(ordinal);
-        } else {
-          Row updated = *row;
-          for (const auto& [idx, expr] : sets) {
-            TIP_RETURN_IF_ERROR(
-                exec_util::EvalInto(*expr, tuple, eval, &updated[idx]));
-          }
-          TIP_RETURN_IF_ERROR(
-              eval.ReserveMemory(exec_util::ApproxRowBytes(updated)));
-          changes.emplace_back(id, std::move(updated));
-          change_ordinals.push_back(ordinal);
-        }
-      }
+      TIP_ASSIGN_OR_RETURN(
+          MutationScan found,
+          ScanForMutation(
+              *table, where.get(), is_delete ? nullptr : &sets, cap,
+              cap >= 2 ? parallel_stats_.ForTable(table->name()) : nullptr,
+              eval));
       // Write-ahead, between the last failure point and the apply.
-      if (ShouldLogWal() && !(deletions.empty() && changes.empty())) {
+      if (ShouldLogWal() && !found.ids.empty()) {
         TIP_RETURN_IF_ERROR(EnsureTxnWalBracket());
+        std::vector<uint64_t> delete_ordinals;
         std::vector<std::pair<uint64_t, const Row*>> updates;
-        updates.reserve(changes.size());
-        for (size_t i = 0; i < changes.size(); ++i) {
-          updates.emplace_back(change_ordinals[i], &changes[i].second);
+        if (is_delete) {
+          delete_ordinals = std::move(found.ordinals);
+        } else {
+          updates.reserve(found.rows.size());
+          for (size_t i = 0; i < found.rows.size(); ++i) {
+            updates.emplace_back(found.ordinals[i], &found.rows[i]);
+          }
         }
         TIP_RETURN_IF_ERROR(AppendWal(
             WalRecordKind::kMutate,
@@ -747,17 +728,14 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
       }
       CaptureTxnUndo(table);
       // Phase 2: apply.
-      for (RowId victim : deletions) {
-        TIP_RETURN_IF_ERROR(table->heap().Delete(victim));
-      }
-      for (auto& [target, new_row] : changes) {
-        TIP_RETURN_IF_ERROR(table->heap().Update(target,
-                                                 std::move(new_row)));
+      for (size_t i = 0; i < found.ids.size(); ++i) {
+        TIP_RETURN_IF_ERROR(
+            is_delete ? table->heap().Delete(found.ids[i])
+                      : table->heap().Update(found.ids[i],
+                                             std::move(found.rows[i])));
       }
       ResultSet result;
-      result.affected_rows = static_cast<int64_t>(
-          stmt.kind == Statement::Kind::kDelete ? deletions.size()
-                                                : changes.size());
+      result.affected_rows = static_cast<int64_t>(found.ids.size());
       return result;
     }
 
@@ -956,6 +934,7 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
       routine.name = name;
       routine.params = param_types;
       routine.result = return_type;
+      routine.serial_only = true;  // the body may call a serial-only routine
       routine.fn = [db, body, shared_params, return_type](
                        DatumRefs args,
                        EvalContext& eval_ctx) -> Result<Datum> {

@@ -189,11 +189,12 @@ class Database {
                             SessionContext* session);
 
   /// Classifies a parsed statement for the server's shared/exclusive
-  /// gate. SELECT/EXPLAIN are readers unless the text invokes a
-  /// side-effectful routine (tip_checkpoint, tip_sync_wal, tip_verify);
-  /// BEGIN/COMMIT/ROLLBACK and session-scoped SETs are readers; all DML,
-  /// DDL, CHECK and global SETs are writers.
-  static StatementClass Classify(const Statement& stmt, std::string_view sql);
+  /// gate. SELECT/EXPLAIN are readers unless they call a serial_only
+  /// routine (tip_checkpoint, tip_sync_wal, tip_verify, any CREATE
+  /// FUNCTION routine); BEGIN/COMMIT/ROLLBACK and session-scoped SETs
+  /// are readers; all DML, DDL, CHECK and global SETs are writers. Safe
+  /// to call without the gate.
+  StatementClass Classify(const Statement& stmt) const;
 
   // -- Prepared statements ---------------------------------------------------
 

@@ -362,20 +362,6 @@ Status IntervalJoinProbe::FindCandidates(
   return Status::OK();
 }
 
-Result<bool> IntervalJoinProbe::Join(const Row& left, RowId candidate,
-                                     const TupleCtx* outer, EvalContext& ctx,
-                                     Row* out) const {
-  const Row* right = table->heap().Get(candidate);
-  if (right == nullptr) return false;
-  out->clear();
-  out->reserve(left.size() + right->size());
-  out->insert(out->end(), left.begin(), left.end());
-  out->insert(out->end(), right->begin(), right->end());
-  if (residual == nullptr) return true;
-  TupleCtx tuple{out, outer};
-  return PredicatePasses(*residual, tuple, ctx);
-}
-
 std::string IntervalJoinProbe::Target() const {
   return table->name() + "." + table->columns()[column].name;
 }
@@ -547,6 +533,14 @@ Status AggregateNode::Open(ExecState& state) {
   next_ = 0;
 
   TIP_RETURN_IF_ERROR(child_->Open(state));
+  // A global aggregate (no GROUP BY) has exactly one group, even for
+  // empty input: made up front and stepped directly, with no key to
+  // hash or compare per row.
+  Group* global = nullptr;
+  if (group_exprs_.empty()) {
+    TIP_ASSIGN_OR_RETURN(global, FindOrCreateGroup(DatumRefs(nullptr, 0),
+                                                   state));
+  }
   // The group keys of the current row, borrowed (computed ones in
   // key_slots); FindOrCreateGroup copies them only for a new group.
   std::vector<Datum> key_slots(group_exprs_.size());
@@ -557,26 +551,20 @@ Status AggregateNode::Open(ExecState& state) {
     if (row == nullptr) break;
     TupleCtx tuple{row, state.outer};
 
-    for (size_t i = 0; i < group_exprs_.size(); ++i) {
-      TIP_ASSIGN_OR_RETURN(keys[i], group_exprs_[i]->Eval(tuple, *state.eval,
-                                                          &key_slots[i]));
+    Group* group = global;
+    if (group == nullptr) {
+      for (size_t i = 0; i < group_exprs_.size(); ++i) {
+        TIP_ASSIGN_OR_RETURN(keys[i], group_exprs_[i]->Eval(
+                                          tuple, *state.eval, &key_slots[i]));
+      }
+      TIP_ASSIGN_OR_RETURN(
+          group,
+          FindOrCreateGroup(DatumRefs(keys.data(), keys.size()), state));
     }
-    TIP_ASSIGN_OR_RETURN(
-        Group * group,
-        FindOrCreateGroup(DatumRefs(keys.data(), keys.size()), state));
     for (size_t i = 0; i < aggregates_.size(); ++i) {
       TIP_RETURN_IF_ERROR(StepAggregate(aggregates_[i], tuple, *state.eval,
                                         *group->states[i]));
     }
-  }
-
-  // Global aggregates produce one row even with no input.
-  if (group_exprs_.empty() && groups_.empty()) {
-    Group group;
-    for (const AggregateSpec& spec : aggregates_) {
-      group.states.push_back(spec.agg.def->make_state());
-    }
-    groups_.push_back(std::move(group));
   }
 
   results_.reserve(groups_.size());

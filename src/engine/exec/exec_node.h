@@ -13,6 +13,7 @@
 #include "engine/catalog/aggregate_registry.h"
 #include "engine/catalog/catalog.h"
 #include "engine/exec/bound_expr.h"
+#include "engine/exec/row_utils.h"
 #include "engine/types/datum.h"
 #include "engine/types/eval_context.h"
 #include "engine/types/type.h"
@@ -278,8 +279,22 @@ struct IntervalJoinProbe {
                         std::vector<RowId>* candidates) const;
   /// Builds `left` ++ the candidate row into *out. False when the
   /// candidate has been deleted or the residual rejects the pair.
+  /// Defined here so that the morsel join (parallel_exec.cc) inlines it
+  /// as the serial join does: it runs once per index candidate, and as
+  /// an out-of-line call it made the one-worker morsel join slower than
+  /// the serial one on the paper's Q2.
   Result<bool> Join(const Row& left, RowId candidate, const TupleCtx* outer,
-                    EvalContext& ctx, Row* out) const;
+                    EvalContext& ctx, Row* out) const {
+    const Row* right = table->heap().Get(candidate);
+    if (right == nullptr) return false;
+    out->clear();
+    out->reserve(left.size() + right->size());
+    out->insert(out->end(), left.begin(), left.end());
+    out->insert(out->end(), right->begin(), right->end());
+    if (residual == nullptr) return true;
+    TupleCtx tuple{out, outer};
+    return exec_util::PredicatePasses(*residual, tuple, ctx);
+  }
   /// "table.column", for operator names.
   std::string Target() const;
   /// EXPLAIN's IndexProbe line and the index's IndexStats line.

@@ -14,12 +14,11 @@ namespace tip::engine {
 namespace {
 
 // Degrades gracefully under pool saturation: never more workers than
-// morsels, never more than the shared pool can actually serve right now
-// (+1 because the caller participates as worker 0). A statement forced
-// below its requested fan-out records a parallel_fallbacks event.
-size_t PlanWorkers(size_t requested, size_t num_morsels, ExecGuard* guard) {
-  size_t n = std::max<size_t>(1, std::min(requested, num_morsels));
-  if (n <= 1) return n;
+// the shared pool can actually serve right now (+1 because the caller
+// participates as worker 0). A statement forced below its chosen
+// fan-out records a parallel_fallbacks event.
+size_t FitToPool(size_t n, ExecGuard* guard) {
+  if (n <= 1) return 1;
   const size_t avail = ThreadPool::Shared().ApproxAvailable() + 1;
   if (avail < n) {
     n = std::max<size_t>(avail, 1);
@@ -58,6 +57,7 @@ struct MorselWorker {
   EvalContext eval;
   WorkerCounters counters;
   size_t morsel = 0;        // morsel number: page_begin / kPagesPerMorsel
+  uint64_t morsel_row = 0;  // live rows of the morsel before the current
   size_t morsel_bytes = 0;  // charged to the memory budget at morsel end
 };
 
@@ -82,7 +82,95 @@ std::vector<T> InMorselOrder(std::vector<Slot<T>>& per_morsel) {
   return out;
 }
 
+// The morsel driver: one parallel scan of `heap` with `filter` (may be
+// null) run inside the workers. `reset(workers, morsels)` clears the
+// caller's output before each attempt; `step(worker, id, tuple)`
+// consumes one row that passed the filter and returns how many rows it
+// emitted. On success `counters` holds what each worker of the
+// attempt did and `morsel_rows` the live rows of each morsel.
+struct MorselRun {
+  const HeapTable* heap;
+  const BoundExpr* filter;
+  size_t cap;
+  std::vector<WorkerCounters> counters;
+  std::vector<uint64_t> morsel_rows;
+
+  template <typename Reset, typename Step>
+  Status Run(const EvalContext& parent, const TupleCtx* outer, Reset reset,
+             Step step) {
+    const size_t num_morsels =
+        (heap->page_count() + kPagesPerMorsel - 1) / kPagesPerMorsel;
+
+    auto body = [&](size_t w, MorselSource& source,
+                    const std::atomic<bool>& failed) -> Status {
+      MaybeThrowWorkerFault();
+      MorselWorker worker{w, EvalContext(parent.tx, parent.guard), {}};
+      worker.eval.params = parent.params;
+      Morsel m;
+      while (!failed.load(std::memory_order_relaxed) && source.Next(&m)) {
+        TIP_RETURN_IF_ERROR(worker.eval.CheckGuardNow());
+        ++worker.counters.morsels;
+        worker.morsel = m.page_begin / kPagesPerMorsel;
+        worker.morsel_bytes = 0;
+        HeapTable::Cursor cursor = heap->ScanPages(m.page_begin, m.page_end);
+        RowId id;
+        const Row* row;
+        for (worker.morsel_row = 0; cursor.Next(&id, &row);
+             ++worker.morsel_row) {
+          TIP_RETURN_IF_ERROR(worker.eval.CheckGuard());
+          TupleCtx tuple{row, outer};
+          if (filter != nullptr) {
+            TIP_ASSIGN_OR_RETURN(
+                bool pass,
+                exec_util::PredicatePasses(*filter, tuple, worker.eval));
+            if (!pass) continue;
+          }
+          TIP_ASSIGN_OR_RETURN(size_t emitted, step(worker, id, tuple));
+          worker.counters.rows_out += emitted;
+        }
+        worker.counters.rows_in += worker.morsel_row;
+        morsel_rows[worker.morsel] = worker.morsel_row;
+        TIP_RETURN_IF_ERROR(worker.eval.ReserveMemory(worker.morsel_bytes));
+      }
+      counters[w] = worker.counters;
+      return Status::OK();
+    };
+
+    auto attempt = [&](size_t n) -> Status {
+      reset(n, num_morsels);
+      counters.assign(n, WorkerCounters{});
+      morsel_rows.assign(num_morsels, 0);
+      MorselSource source(heap, kPagesPerMorsel);
+      std::atomic<bool> failed{false};
+      return ThreadPool::Shared().RunOnWorkers(n, [&](size_t w) -> Status {
+        Status s = body(w, source, failed);
+        if (!s.ok()) failed.store(true, std::memory_order_relaxed);
+        return s;
+      });
+    };
+
+    Status run = attempt(FitToPool(
+        ChooseWorkers(cap, heap->row_count(), num_morsels,
+                      ThreadPool::CoreCount()),
+        parent.guard));
+    // One serial retry even when the run already used one worker: that
+    // body still runs through the pool's exception capture, and a
+    // transient worker crash should not fail the statement at any width.
+    if (IsWorkerInfraFailure(run)) {
+      if (parent.guard != nullptr) parent.guard->RecordParallelFallback();
+      run = attempt(1);
+    }
+    return run;
+  }
+};
+
 }  // namespace
+
+size_t ChooseWorkers(size_t cap, size_t live_rows, size_t morsels,
+                     size_t cores) {
+  if (cap <= 1 || live_rows < kParallelMinRows) return 1;
+  return std::max<size_t>(std::min({cap, cores, morsels}), 1);
+}
 
 // -- ParallelStats -----------------------------------------------------------
 
@@ -124,69 +212,9 @@ ParallelStats* ParallelStatsRegistry::ForTable(const std::string& table) {
 
 template <typename Reset, typename Step>
 Status MorselNode::RunMorsels(ExecState& state, Reset reset, Step step) {
-  const HeapTable& heap = table_->heap();
-  const size_t num_morsels =
-      (heap.page_count() + kPagesPerMorsel - 1) / kPagesPerMorsel;
-  const EvalContext& parent = *state.eval;
-  const TupleCtx* outer = state.outer;
-  std::vector<WorkerCounters> counters;
-
-  auto body = [&](size_t w, MorselSource& source,
-                  const std::atomic<bool>& failed) -> Status {
-    MaybeThrowWorkerFault();
-    MorselWorker worker{w, EvalContext(parent.tx, parent.guard), {}};
-    worker.eval.params = parent.params;
-    Morsel m;
-    while (!failed.load(std::memory_order_relaxed) && source.Next(&m)) {
-      TIP_RETURN_IF_ERROR(worker.eval.CheckGuardNow());
-      ++worker.counters.morsels;
-      worker.morsel = m.page_begin / kPagesPerMorsel;
-      worker.morsel_bytes = 0;
-      HeapTable::Cursor cursor = heap.ScanPages(m.page_begin, m.page_end);
-      RowId id;
-      const Row* row;
-      while (cursor.Next(&id, &row)) {
-        TIP_RETURN_IF_ERROR(worker.eval.CheckGuard());
-        ++worker.counters.rows_in;
-        TupleCtx tuple{row, outer};
-        if (filter_ != nullptr) {
-          TIP_ASSIGN_OR_RETURN(
-              bool pass,
-              exec_util::PredicatePasses(*filter_, tuple, worker.eval));
-          if (!pass) continue;
-        }
-        TIP_ASSIGN_OR_RETURN(size_t emitted, step(worker, id, tuple));
-        worker.counters.rows_out += emitted;
-      }
-      TIP_RETURN_IF_ERROR(worker.eval.ReserveMemory(worker.morsel_bytes));
-    }
-    counters[w] = worker.counters;
-    return Status::OK();
-  };
-
-  auto attempt = [&](size_t n) -> Status {
-    reset(n, num_morsels);
-    counters.assign(n, WorkerCounters{});
-    MorselSource source(&heap, kPagesPerMorsel);
-    std::atomic<bool> failed{false};
-    return ThreadPool::Shared().RunOnWorkers(n, [&](size_t w) -> Status {
-      Status s = body(w, source, failed);
-      if (!s.ok()) failed.store(true, std::memory_order_relaxed);
-      return s;
-    });
-  };
-
-  Status run = attempt(PlanWorkers(workers_, num_morsels, parent.guard));
-  // One serial retry even when the plan already ran at n == 1 (a
-  // saturated pool): that body still runs through the pool's exception
-  // capture, and a transient worker crash should not fail the statement
-  // at any width.
-  if (IsWorkerInfraFailure(run)) {
-    if (parent.guard != nullptr) parent.guard->RecordParallelFallback();
-    run = attempt(1);
-  }
-  TIP_RETURN_IF_ERROR(run);
-  if (stats_ != nullptr) stats_->RecordRun(DebugName(), std::move(counters));
+  MorselRun run{&table_->heap(), filter_.get(), workers_, {}, {}};
+  TIP_RETURN_IF_ERROR(run.Run(*state.eval, state.outer, reset, step));
+  if (stats_ != nullptr) stats_->RecordRun(DebugName(), std::move(run.counters));
   return Status::OK();
 }
 
@@ -313,26 +341,32 @@ Status ParallelIntervalJoinNode::Open(ExecState& state) {
       IntervalIndexView index,
       probe_.table->GetIntervalIndex(probe_.column, state.eval->tx));
   std::vector<Slot<Row>> per_morsel;
-  std::vector<Slot<RowId>> candidates;  // per worker, reused
+  // Per worker, reused across rows: the candidate ids, and the combined
+  // row being built, which leaves only when it joins.
+  struct alignas(64) JoinBuffers {
+    std::vector<RowId> candidates;
+    Row combined;
+  };
+  std::vector<JoinBuffers> buffers;
   TIP_RETURN_IF_ERROR(RunMorsels(
       state,
       [&](size_t workers, size_t morsels) {
         per_morsel.assign(morsels, {});
-        candidates.assign(workers, {});
+        buffers.assign(workers, {});
       },
       [&](MorselWorker& w, RowId, const TupleCtx& left) -> Result<size_t> {
-        std::vector<RowId>& ids = candidates[w.index].items;
-        TIP_RETURN_IF_ERROR(probe_.FindCandidates(index, left, w.eval, &ids));
+        JoinBuffers& mine = buffers[w.index];
+        TIP_RETURN_IF_ERROR(
+            probe_.FindCandidates(index, left, w.eval, &mine.candidates));
         size_t joined_rows = 0;
-        for (RowId rid : ids) {
-          Row combined;
-          TIP_ASSIGN_OR_RETURN(
-              bool joined,
-              probe_.Join(*left.row, rid, left.outer, w.eval, &combined));
+        for (RowId rid : mine.candidates) {
+          TIP_ASSIGN_OR_RETURN(bool joined,
+                               probe_.Join(*left.row, rid, left.outer, w.eval,
+                                           &mine.combined));
           if (!joined) continue;
           ++joined_rows;
-          w.morsel_bytes += exec_util::ApproxRowBytes(combined);
-          per_morsel[w.morsel].items.push_back(std::move(combined));
+          w.morsel_bytes += exec_util::ApproxRowBytes(mine.combined);
+          per_morsel[w.morsel].items.push_back(std::move(mine.combined));
         }
         return joined_rows;
       }));
@@ -355,6 +389,59 @@ Result<const Row*> ParallelIntervalJoinNode::NextBorrowed(ExecState&) {
 void ParallelIntervalJoinNode::Explain(int depth, std::string* out) const {
   MorselNode::Explain(depth, out);
   probe_.Explain(depth + 1, out);
+}
+
+// -- ScanForMutation ---------------------------------------------------------
+
+Result<MutationScan> ScanForMutation(
+    const Table& table, const BoundExpr* where,
+    const std::vector<std::pair<size_t, BoundExprPtr>>* sets, size_t cap,
+    ParallelStats* stats, EvalContext& eval) {
+  struct Match {
+    RowId id;
+    uint64_t morsel_row;  // live ordinal within its morsel
+    Row row;              // UPDATE: the new contents
+  };
+  std::vector<Slot<Match>> per_morsel;
+  MorselRun run{&table.heap(), where, cap, {}, {}};
+  TIP_RETURN_IF_ERROR(run.Run(
+      eval, nullptr,
+      [&](size_t, size_t morsels) { per_morsel.assign(morsels, {}); },
+      [&](MorselWorker& w, RowId id, const TupleCtx& tuple) -> Result<size_t> {
+        Match match{id, w.morsel_row, {}};
+        if (sets != nullptr) {
+          match.row = *tuple.row;
+          for (const auto& [idx, expr] : *sets) {
+            TIP_RETURN_IF_ERROR(
+                exec_util::EvalInto(*expr, tuple, w.eval, &match.row[idx]));
+          }
+          w.morsel_bytes += exec_util::ApproxRowBytes(match.row);
+        }
+        per_morsel[w.morsel].items.push_back(std::move(match));
+        return size_t{1};
+      }));
+
+  size_t found = 0;
+  for (const Slot<Match>& slot : per_morsel) found += slot.items.size();
+  MutationScan out;
+  out.ids.reserve(found);
+  out.ordinals.reserve(found);
+  if (sets != nullptr) out.rows.reserve(found);
+  uint64_t first_ordinal = 0;  // of the current morsel
+  for (size_t m = 0; m < per_morsel.size(); ++m) {
+    for (Match& match : per_morsel[m].items) {
+      out.ids.push_back(match.id);
+      out.ordinals.push_back(first_ordinal + match.morsel_row);
+      if (sets != nullptr) out.rows.push_back(std::move(match.row));
+    }
+    first_ordinal += run.morsel_rows[m];
+  }
+  if (stats != nullptr) {
+    stats->RecordRun(std::string(sets != nullptr ? "Update(" : "Delete(") +
+                         table.name() + ")",
+                     std::move(run.counters));
+  }
+  return out;
 }
 
 }  // namespace tip::engine

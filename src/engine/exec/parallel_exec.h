@@ -7,6 +7,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -20,11 +21,20 @@ namespace tip::engine {
 /// claim (one atomic add) is noise next to the per-row work.
 inline constexpr uint32_t kPagesPerMorsel = 8;
 
-/// Parallel operators are planned only over tables whose live rows fill
-/// at least two morsels (4,096 rows): below that there is at most one
-/// morsel's work to split, and the fork-join costs more than it saves.
+/// A morsel run uses more than one worker only over a table whose live
+/// rows fill at least two morsels (4,096 rows): below that there is at
+/// most one morsel's work to split, and the fork-join costs more than it
+/// saves.
 inline constexpr size_t kParallelMinRows =
     2 * size_t{kPagesPerMorsel} * kRowsPerPage;
+
+/// The worker count of one morsel run, chosen when it starts: one while
+/// the table's `live_rows` fill fewer than two morsels; otherwise the
+/// session's `cap`, never more than the machine's `cores` or the
+/// table's `morsels`. The run then trims it to the shared pool's free
+/// threads, so statements running at once never fan out past the pool.
+size_t ChooseWorkers(size_t cap, size_t live_rows, size_t morsels,
+                     size_t cores);
 
 /// What one worker did during one parallel execution.
 struct WorkerCounters {
@@ -74,7 +84,11 @@ class ParallelStatsRegistry {
 /// the pushed filter over its morsels and hands the surviving rows to
 /// the operator's per-row step. The scaffolding (worker count, guard
 /// checks, memory charges, the serial retry, counters) lives once, in
-/// RunMorsels; a subclass supplies only its step and its output.
+/// the morsel driver that RunMorsels and ScanForMutation share; a
+/// subclass supplies only its step and its output. `workers` is the
+/// session's cap: each run picks its own count (ChooseWorkers), so one
+/// planned tree serves a table of any size, and a run with one worker
+/// scans inline on the calling thread.
 class MorselNode : public ExecNode {
  public:
   /// Prints the node, its Parallel/ParallelStats lines and the morsel
@@ -182,6 +196,28 @@ class ParallelIntervalJoinNode final : public MorselNode {
   std::vector<Row> results_;
   size_t next_ = 0;
 };
+
+/// What phase 1 of an UPDATE or DELETE found: the rows the statement
+/// changes, in scan order, each with its live ordinal (its position
+/// among the table's live rows, the address the WAL records) and, for
+/// an UPDATE, its new contents.
+struct MutationScan {
+  std::vector<RowId> ids;
+  std::vector<uint64_t> ordinals;
+  std::vector<Row> rows;  // UPDATE only, parallel to `ids`
+};
+
+/// Phase 1 of an UPDATE (`sets` non-null: column index and value of each
+/// SET) or a DELETE over `table`, through the morsel driver: up to `cap`
+/// workers run `where` (may be null) and the SET expressions over their
+/// morsels and buffer what they find per morsel; a morsel's first
+/// ordinal is the sum of the live rows of the morsels before it. The
+/// buffers concatenate in morsel order, so the result equals the serial
+/// scan's. Records the run in `stats` when non-null.
+Result<MutationScan> ScanForMutation(
+    const Table& table, const BoundExpr* where,
+    const std::vector<std::pair<size_t, BoundExprPtr>>* sets, size_t cap,
+    ParallelStats* stats, EvalContext& eval);
 
 }  // namespace tip::engine
 

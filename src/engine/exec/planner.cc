@@ -547,6 +547,65 @@ Status CollectInfo(const Expr& expr, const Scope& scope,
   return Status::OK();
 }
 
+}  // namespace
+
+bool CallsSerialOnlyRoutine(const Expr& expr,
+                            const RoutineRegistry& routines) {
+  if (expr.kind == ExprKind::kFuncCall && routines.SerialOnly(expr.text)) {
+    return true;
+  }
+  for (const ExprPtr& arg : expr.args) {
+    if (CallsSerialOnlyRoutine(*arg, routines)) return true;
+  }
+  return expr.subquery != nullptr &&
+         CallsSerialOnlyRoutine(*expr.subquery, routines);
+}
+
+bool CallsSerialOnlyRoutine(const SelectStmt& select,
+                            const RoutineRegistry& routines) {
+  auto calls = [&routines](const ExprPtr& expr) {
+    return expr != nullptr && CallsSerialOnlyRoutine(*expr, routines);
+  };
+  for (const SelectItem& item : select.items) {
+    if (calls(item.expr)) return true;
+  }
+  for (const FromItem& item : select.from) {
+    if (calls(item.on)) return true;
+    if (item.ref.is_subquery() &&
+        CallsSerialOnlyRoutine(*item.ref.subquery, routines)) {
+      return true;
+    }
+  }
+  if (calls(select.where) || calls(select.having)) return true;
+  for (const ExprPtr& expr : select.group_by) {
+    if (calls(expr)) return true;
+  }
+  for (const CompoundPart& part : select.compounds) {
+    if (CallsSerialOnlyRoutine(*part.select, routines)) return true;
+  }
+  for (const OrderItem& item : select.order_by) {
+    if (calls(item.expr)) return true;
+  }
+  return false;
+}
+
+bool HasSubquery(const Expr& expr) {
+  switch (expr.kind) {
+    case ExprKind::kExists:
+    case ExprKind::kScalarSubquery:
+    case ExprKind::kInSubquery:
+      return true;
+    default:
+      break;
+  }
+  for (const ExprPtr& arg : expr.args) {
+    if (HasSubquery(*arg)) return true;
+  }
+  return false;
+}
+
+namespace {
+
 // Splits a predicate into its top-level AND conjuncts.
 void SplitConjuncts(const Expr* expr, std::vector<const Expr*>* out) {
   if (expr == nullptr) return;
@@ -663,12 +722,13 @@ class SelectPlanner {
     return it == ctx_.interval_key_fns->end() ? nullptr : &it->second;
   }
 
-  // True when a morsel-parallel operator over `table` is worth planning:
-  // the session asked for workers and the table's live rows fill at
-  // least two morsels.
+  // True when a morsel-parallel operator over `table` may be planned
+  // (PlanSelect has already set the cap to 1 where none may). The plan
+  // encodes no row count: each run picks its worker count from the
+  // table as it is then, so a cached plan stays right as the table
+  // grows or shrinks.
   bool ParallelEligible(const Table* table) const {
-    return ctx_.parallel_workers >= 2 && table != nullptr &&
-           table->heap().row_count() >= kParallelMinRows;
+    return ctx_.parallel_workers >= 2 && table != nullptr;
   }
 
   ParallelStats* StatsFor(const Table* table) const {
@@ -1504,11 +1564,45 @@ Result<PlannedSelect> PlanCompound(const SelectStmt& select,
   return combined;
 }
 
+// True when the reader of `select`'s rows may stop before the last: a
+// LIMIT (with or without OFFSET) over rows that no ORDER BY, GROUP BY
+// or aggregate reads to the end first.
+bool StopsEarly(const SelectStmt& select,
+                const AggregateRegistry& aggregates) {
+  if (!select.limit.has_value() || !select.order_by.empty()) return false;
+  if (!select.compounds.empty()) return true;
+  if (!select.group_by.empty() || select.having != nullptr) return false;
+  for (const SelectItem& item : select.items) {
+    if (item.expr == nullptr) continue;
+    std::vector<const Expr*> calls;
+    // A nested aggregate fails planning itself; either way no scan of
+    // this statement runs.
+    if (!CollectAggregates(*item.expr, aggregates, &calls).ok() ||
+        !calls.empty()) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 Result<PlannedSelect> PlanSelect(const SelectStmt& select,
                                  const PlannerContext& ctx,
                                  const Scope* outer) {
+  // A morsel operator reads its whole input before it returns a row, so
+  // where the reader may stop early the scans stay serial: a subquery
+  // (an EXISTS stops at its first row, and every evaluation would pay
+  // for a morsel run) and a LIMIT that nothing reads to the end first.
+  // So does a statement that calls a serial-only routine. Everything
+  // planned inside such a select inherits the serial cap.
+  if (ctx.parallel_workers >= 2 &&
+      (outer != nullptr || StopsEarly(select, *ctx.aggregates) ||
+       CallsSerialOnlyRoutine(select, *ctx.routines))) {
+    PlannerContext serial = ctx;
+    serial.parallel_workers = 1;
+    return PlanSelect(select, serial, outer);
+  }
   if (!select.compounds.empty()) return PlanCompound(select, ctx, outer);
   SelectPlanner planner(select, ctx, outer);
   return planner.Plan();

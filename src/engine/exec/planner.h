@@ -44,11 +44,12 @@ struct PlannerContext {
   bool enable_hash_join = true;
   bool enable_interval_join = true;
 
-  // Parallel execution (SET parallel_workers). Parallel operators are
-  // only planned with parallel_workers >= 2, over a table whose live
-  // rows fill two morsels (kParallelMinRows), and only for the shapes
-  // that pay: a filtered scan, a global aggregate and the interval
-  // join. The default session runs the serial plans.
+  // Parallel execution (SET parallel_workers): the cap on a
+  // statement's workers. With a cap of 2 or more the planner plans the
+  // morsel operators for the shapes that pay (a filtered scan, a global
+  // aggregate and the interval join), except where PlanSelect keeps a
+  // select serial; each run picks its own worker count (see
+  // MorselNode). A cap of 1 plans the serial operators.
   size_t parallel_workers = 1;
   /// Session-owned per-table counters published by parallel operators
   /// and read back by EXPLAIN; may be null (no recording).
@@ -87,8 +88,24 @@ struct PlannedSelect {
   std::vector<TypeId> column_types;
 };
 
+/// True when `expr`, or a subquery in it, calls a routine marked
+/// serial_only: a scan that evaluates it must not run on worker
+/// threads.
+bool CallsSerialOnlyRoutine(const Expr& expr, const RoutineRegistry& routines);
+
+/// True when any clause of `select`, its derived tables, subqueries and
+/// compound parts included, calls a serial_only routine.
+bool CallsSerialOnlyRoutine(const SelectStmt& select,
+                            const RoutineRegistry& routines);
+
+/// True when `expr` holds a subquery, whose plan serves one execution
+/// at a time and so cannot be evaluated by several workers.
+bool HasSubquery(const Expr& expr);
+
 /// Binds and plans a SELECT statement. `outer` is the enclosing scope
-/// for correlated subqueries (null at top level).
+/// for correlated subqueries (null at top level). A subquery, a select
+/// whose LIMIT may stop its reader early and a select that calls a
+/// serial_only routine are planned at a cap of 1 (serial operators).
 Result<PlannedSelect> PlanSelect(const SelectStmt& select,
                                  const PlannerContext& ctx,
                                  const Scope* outer);

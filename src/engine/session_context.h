@@ -25,6 +25,7 @@
 #include <optional>
 #include <thread>
 
+#include "common/thread_pool.h"
 #include "core/chronon.h"
 #include "core/tx_context.h"
 
@@ -53,7 +54,9 @@ struct SessionContext {
   // --- Atomics (read cross-thread without session_mu_) ------------------
   std::atomic<int64_t> statement_timeout_ms{0};
   std::atomic<size_t> memory_limit_kb{0};
-  std::atomic<size_t> parallel_workers{1};
+  // The cap on a statement's parallel workers (SET parallel_workers);
+  // 1 plans the serial operators.
+  std::atomic<size_t> parallel_workers{ThreadPool::CoreCount()};
 };
 
 }  // namespace tip::engine

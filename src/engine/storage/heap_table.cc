@@ -2,6 +2,25 @@
 
 namespace tip::engine {
 
+namespace {
+
+// How many slots ahead of its read a cursor asks the CPU to start
+// loading a row's values: each row's values are their own allocation,
+// so a scan that reads them in order otherwise waits on a cache miss
+// per row.
+constexpr uint32_t kPrefetchRows = 8;
+
+// Asks the CPU to load the cache lines that hold `row`'s values.
+void PrefetchValues(const Row& row) {
+  const char* begin = reinterpret_cast<const char*>(row.data());
+  const char* end = begin + row.size() * sizeof(Datum);
+  for (const char* line = begin; line < end; line += 64) {
+    __builtin_prefetch(line);
+  }
+}
+
+}  // namespace
+
 RowId HeapTable::Insert(Row row) {
   if (pages_.empty() || pages_.back()->rows.size() >= kRowsPerPage) {
     pages_.push_back(std::make_unique<Page>());
@@ -136,6 +155,9 @@ bool HeapTable::Cursor::Next(RowId* id, const Row** row) {
     const Page& page = *table_->pages_[page_];
     while (slot_ < page.rows.size()) {
       const uint32_t slot = slot_++;
+      if (slot + kPrefetchRows < page.rows.size()) {
+        PrefetchValues(page.rows[slot + kPrefetchRows]);
+      }
       if (page.live[slot]) {
         *id = MakeRowId(page_, slot);
         *row = &page.rows[slot];

@@ -478,14 +478,22 @@ void Server::CancelSession(uint64_t session_id, uint64_t cancel_key) {
 
 Status Server::WriteChecked(Session* session, wire::FrameType type,
                             std::string_view payload) {
+  std::string frame;
+  frame.reserve(wire::kFrameHeaderSize + payload.size());
+  wire::BeginFrame(&frame);
+  frame.append(payload);
+  return SendChecked(session, type, &frame);
+}
+
+Status Server::SendChecked(Session* session, wire::FrameType type,
+                           std::string* frame) {
   Status injected = fault::MaybeFail("server.write");
-  if (!injected.ok()) {
-    db_->server_stats().wire_faults.fetch_add(1, std::memory_order_relaxed);
-    return injected;
-  }
   Status written =
-      wire::WriteFrame(session->fd, type, payload, options_.write_timeout_ms,
-                       &db_->server_stats().bytes_out);
+      injected.ok() ? wire::SealFrame(type, frame) : std::move(injected);
+  if (written.ok()) {
+    written = wire::SendFrame(session->fd, *frame, options_.write_timeout_ms,
+                              &db_->server_stats().bytes_out);
+  }
   if (!written.ok()) {
     db_->server_stats().wire_faults.fetch_add(1, std::memory_order_relaxed);
   }
@@ -604,8 +612,7 @@ bool Server::HandleExec(Session* session, const wire::Frame& frame) {
   }
   const bool writer =
       options_.exclusive_gate ||
-      engine::Database::Classify((*plan)->stmt(), request->sql) ==
-          engine::StatementClass::kWriter;
+      db_->Classify((*plan)->stmt()) == engine::StatementClass::kWriter;
   if (session->gate_mode == GateMode::kNone) {
     Status gate = writer ? AcquireExclusive(session, options_.lock_wait_ms)
                          : AcquireShared(session, options_.lock_wait_ms);
@@ -667,23 +674,27 @@ bool Server::StreamResult(Session* session, const engine::ResultSet& result,
   }
   // Chunked rows: each frame's payload stays near max_rows_frame_bytes
   // and every write is deadline-bounded — the outbound buffer for one
-  // statement is one chunk, regardless of result size.
+  // statement is one chunk, regardless of result size. Each chunk's
+  // row images are encoded straight into its frame, after the header
+  // and the row count, which are filled in once the chunk is full.
   size_t i = 0;
   const size_t n = result.rows.size();
-  std::string rows_bytes;
+  std::string frame;
   while (i < n) {
-    rows_bytes.clear();
+    wire::BeginFrame(&frame);
+    engine::wire::PutU32(0, &frame);
+    const size_t rows_begin = frame.size();
     uint32_t count = 0;
-    while (i < n && rows_bytes.size() < options_.max_rows_frame_bytes) {
-      engine::EncodeRowImage(result.rows[i], db_->types(), &rows_bytes);
+    while (i < n &&
+           frame.size() - rows_begin < options_.max_rows_frame_bytes) {
+      engine::EncodeRowImage(result.rows[i], db_->types(), &frame);
       ++i;
       ++count;
     }
-    std::string payload;
-    payload.reserve(4 + rows_bytes.size());
-    engine::wire::PutU32(count, &payload);
-    payload.append(rows_bytes);
-    if (!WriteChecked(session, wire::FrameType::kResultRows, payload).ok()) {
+    std::string count_bytes;
+    engine::wire::PutU32(count, &count_bytes);
+    frame.replace(wire::kFrameHeaderSize, count_bytes.size(), count_bytes);
+    if (!SendChecked(session, wire::FrameType::kResultRows, &frame).ok()) {
       session->aborted = true;
       return false;
     }

@@ -25,8 +25,8 @@
 /// *shared/exclusive execution gate*: each statement is classified by
 /// `engine::Database::Classify` — readers (SELECT/EXPLAIN, transaction
 /// control, session-scoped SET) acquire the gate shared and run
-/// concurrently; writers (DML, DDL, CHECK, global SET, side-effectful
-/// routines) acquire it exclusively. Fairness is writer-preference: a
+/// concurrently; writers (DML, DDL, CHECK, global SET, a call of a
+/// serial_only routine) acquire it exclusively. Fairness is writer-preference: a
 /// waiting writer blocks new shared admissions, so a read-heavy fleet
 /// cannot starve its writers. A transaction holds the gate from BEGIN
 /// to COMMIT/ROLLBACK — *shared* while it only reads (so browsing
@@ -176,6 +176,10 @@ class Server {
   /// `server.frame_crc` fault sites and the stats byte counters.
   Status WriteChecked(Session* session, wire::FrameType type,
                       std::string_view payload);
+  /// Seals `*frame` (begun by wire::BeginFrame, its payload appended)
+  /// as a frame of `type` and writes it, like WriteChecked.
+  Status SendChecked(Session* session, wire::FrameType type,
+                     std::string* frame);
   Result<wire::Frame> ReadChecked(Session* session, int first_timeout_ms);
 
   /// Gate acquire/release (see class comment). Every acquire returns

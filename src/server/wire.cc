@@ -96,30 +96,6 @@ Status RecvExact(int fd, size_t n, std::string* out, int first_timeout_ms,
   return Status::OK();
 }
 
-Status SendAll(int fd, std::string_view bytes, int timeout_ms,
-               std::atomic<uint64_t>* bytes_counter) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    TIP_RETURN_IF_ERROR(PollFor(fd, POLLOUT, timeout_ms));
-    const ssize_t rc = send(fd, bytes.data() + sent, bytes.size() - sent,
-                            MSG_NOSIGNAL);
-    if (rc > 0) {
-      sent += static_cast<size_t>(rc);
-      if (bytes_counter) {
-        bytes_counter->fetch_add(static_cast<uint64_t>(rc),
-                                 std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (rc < 0 &&
-        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
-      continue;
-    }
-    return Status::Corruption("send: " + std::string(std::strerror(errno)));
-  }
-  return Status::OK();
-}
-
 Result<engine::Datum> ReadDatumField(ewire::Reader* reader,
                                      engine::TypeId type,
                                      const engine::TypeRegistry& types) {
@@ -258,17 +234,55 @@ Result<int> ListenTcp(const std::string& host, int port, int* bound_port) {
 
 Status WriteFrame(int fd, FrameType type, std::string_view payload,
                   int timeout_ms, std::atomic<uint64_t>* bytes_counter) {
+  std::string frame;
+  frame.reserve(kFrameHeaderSize + payload.size());
+  BeginFrame(&frame);
+  frame.append(payload);
+  TIP_RETURN_IF_ERROR(SealFrame(type, &frame));
+  return SendFrame(fd, frame, timeout_ms, bytes_counter);
+}
+
+void BeginFrame(std::string* frame) {
+  frame->assign(kFrameHeaderSize, '\0');
+}
+
+Status SealFrame(FrameType type, std::string* frame) {
+  const std::string_view payload =
+      std::string_view(*frame).substr(kFrameHeaderSize);
   if (payload.size() > kMaxFramePayload) {
     return Status::Internal("frame payload too large: " +
                             std::to_string(payload.size()));
   }
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  ewire::PutU32(static_cast<uint32_t>(payload.size()), &frame);
-  ewire::PutU8(static_cast<uint8_t>(type), &frame);
-  ewire::PutU32(Crc32(payload), &frame);
-  frame.append(payload);
-  return SendAll(fd, frame, timeout_ms, bytes_counter);
+  std::string header;
+  ewire::PutU32(static_cast<uint32_t>(payload.size()), &header);
+  ewire::PutU8(static_cast<uint8_t>(type), &header);
+  ewire::PutU32(Crc32(payload), &header);
+  frame->replace(0, kFrameHeaderSize, header);
+  return Status::OK();
+}
+
+Status SendFrame(int fd, std::string_view bytes, int timeout_ms,
+                 std::atomic<uint64_t>* bytes_counter) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    TIP_RETURN_IF_ERROR(PollFor(fd, POLLOUT, timeout_ms));
+    const ssize_t rc = send(fd, bytes.data() + sent, bytes.size() - sent,
+                            MSG_NOSIGNAL);
+    if (rc > 0) {
+      sent += static_cast<size_t>(rc);
+      if (bytes_counter) {
+        bytes_counter->fetch_add(static_cast<uint64_t>(rc),
+                                 std::memory_order_relaxed);
+      }
+      continue;
+    }
+    if (rc < 0 &&
+        (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)) {
+      continue;
+    }
+    return Status::Corruption("send: " + std::string(std::strerror(errno)));
+  }
+  return Status::OK();
 }
 
 Result<Frame> ReadFrame(int fd, int first_byte_timeout_ms,

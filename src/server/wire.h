@@ -100,6 +100,20 @@ Status WriteFrame(int fd, FrameType type, std::string_view payload,
                   int timeout_ms,
                   std::atomic<uint64_t>* bytes_counter = nullptr);
 
+/// Starts a frame in `*frame`, cleared: a header to be filled in by
+/// SealFrame, after which the caller appends the payload in place. A
+/// frame built this way holds the only copy of its payload.
+void BeginFrame(std::string* frame);
+
+/// Fills in the header of a frame begun by BeginFrame: the length and
+/// CRC of the payload appended after it, and `type`. Internal error
+/// when the payload exceeds kMaxFramePayload.
+Status SealFrame(FrameType type, std::string* frame);
+
+/// Writes a frame sealed by SealFrame; `bytes_counter` as WriteFrame.
+Status SendFrame(int fd, std::string_view frame, int timeout_ms,
+                 std::atomic<uint64_t>* bytes_counter = nullptr);
+
 /// Reads one frame. `first_byte_timeout_ms` bounds the wait for the
 /// start of the header (the session idle timeout); `body_timeout_ms`
 /// bounds each subsequent poll (a peer that started a frame must finish

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "core/element.h"
 #include "core/element_reference.h"
@@ -315,6 +319,68 @@ TEST_P(ElementPropertyTest, AbsolutePathsMatchGrounding) {
   EXPECT_GT(absolute, 0);
   EXPECT_GT(relative, 0);
   EXPECT_GT(failing, 0);
+}
+
+// The normalization FromPeriods gives all-absolute input: ground every
+// period, sort and coalesce, and convert back; nullopt for input with
+// an inverted period, which is stored verbatim instead.
+std::optional<Element> FullyNormalized(const std::vector<Period>& periods) {
+  std::vector<GroundedPeriod> grounded;
+  for (const Period& p : periods) {
+    Result<GroundedPeriod> g = p.Ground(TxContext());
+    if (!g.ok()) return std::nullopt;
+    grounded.push_back(*g);
+  }
+  return Element::FromGrounded(
+      GroundedElement::FromPeriods(std::move(grounded)));
+}
+
+// FromPeriods keeps canonical all-absolute input as it is and normalizes
+// everything else; either way the Element must equal the full
+// normalization. Inputs run in order with gaps from -3 s (overlapping)
+// through 1 s (adjacent) to 6 s, some shuffled, some with an inverted
+// period.
+TEST_P(ElementPropertyTest, FromPeriodsMatchesFullNormalization) {
+  Rng rng(GetParam() ^ 0xC0DE);
+  auto at = [](int64_t s) {
+    return Instant::Absolute(*Chronon::FromSeconds(s));
+  };
+  int kept = 0, normalized = 0, inverted = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<Period> periods;
+    int64_t start = 20;
+    for (int64_t n = rng.Uniform(0, 6); n > 0; --n) {
+      const int64_t end = start + rng.Uniform(0, 8);
+      periods.emplace_back(at(start), at(end));
+      start = end + rng.Uniform(-3, 6);
+    }
+    if (periods.size() > 1 && rng.Uniform(0, 3) == 0) {
+      std::swap(periods.front(), periods.back());
+    }
+    if (rng.Uniform(0, 7) == 0) {
+      const int64_t s = rng.Uniform(5, 55);
+      periods.insert(periods.begin() + rng.Uniform(
+                                           0, static_cast<int64_t>(
+                                                  periods.size())),
+                     Period(at(s), at(s - rng.Uniform(1, 5))));
+    }
+    const Element got = Element::FromPeriods(periods);
+    const std::optional<Element> want = FullyNormalized(periods);
+    if (!want.has_value()) {
+      ++inverted;
+      EXPECT_TRUE(got.periods() == periods) << got.ToString();
+      EXPECT_FALSE(got.is_absolute()) << got.ToString();
+      continue;
+    }
+    ++(got.periods() == periods ? kept : normalized);
+    EXPECT_TRUE(got == *want)
+        << got.ToString() << " vs " << want->ToString();
+    EXPECT_TRUE(got.is_absolute()) << got.ToString();
+  }
+  // Every path ran: input kept as is, input normalized, input inverted.
+  EXPECT_GT(kept, 0);
+  EXPECT_GT(normalized, 0);
+  EXPECT_GT(inverted, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ElementPropertyTest,

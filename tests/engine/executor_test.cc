@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/database.h"
 
 namespace tip::engine {
@@ -165,6 +167,37 @@ TEST_F(ExecutorTest, GlobalAggregatesEmptyInput) {
   EXPECT_EQ(Flat(Exec("SELECT count(*), sum(salary) FROM emp "
                       "WHERE salary > 1000")),
             "0,NULL");
+}
+
+// A global aggregate (no GROUP BY) gives the same row through the
+// serial AggregateNode (a cap of 1) as through the morsel operator (a
+// cap of 4): one row for empty input, for input whose values are all
+// NULL, and for ordinary input.
+TEST_F(ExecutorTest, GlobalAggregateSerialAndParallelAgree) {
+  const struct {
+    std::string sql;
+    std::string want;
+  } cases[] = {
+      {"SELECT count(*), sum(salary), min(name) FROM emp "
+       "WHERE salary > 1000",
+       "0,NULL,NULL"},
+      {"SELECT count(*), count(bonus), sum(bonus), max(bonus) FROM emp "
+       "WHERE bonus IS NULL",
+       "1,0,NULL,NULL"},
+      {"SELECT count(*), count(bonus), sum(salary), min(name), "
+       "max(salary) FROM emp",
+       "5,4,470,alice,120"},
+  };
+  for (const char* cap : {"1", "4"}) {
+    Exec(std::string("SET parallel_workers ") + cap);
+    for (const auto& c : cases) {
+      EXPECT_EQ(Flat(Exec(c.sql)), c.want) << c.sql << " at cap " << cap;
+    }
+  }
+  Exec("SET parallel_workers 1");
+  const std::string plan = Flat(Exec("EXPLAIN " + cases[2].sql));
+  EXPECT_NE(plan.find("HashAggregate"), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("Parallel"), std::string::npos) << plan;
 }
 
 TEST_F(ExecutorTest, AggregateNullHandling) {

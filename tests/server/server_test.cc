@@ -403,6 +403,89 @@ TEST_F(ServerTest, BigResultsStreamInBoundedChunks) {
   EXPECT_EQ(rs.GetInt(399, 0), 399);
 }
 
+// Each result chunk is encoded straight into its frame. The frames must
+// carry exactly the bytes of the reference encoding, which encodes a
+// chunk's row images on their own, puts the row count before them and
+// the header before that; bytes_out counts every byte sent.
+TEST_F(ServerTest, ResultChunksMatchTheReferenceEncoding) {
+  ServerOptions options;
+  options.max_rows_frame_bytes = 512;  // many kResultRows frames
+  StartServer(options);
+  ASSERT_TRUE(
+      db_->Execute("CREATE TABLE t (id INT, name CHAR(20), valid Element)")
+          .ok());
+  std::string insert = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 300; ++i) {
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", 'name" + std::to_string(i) +
+              "', '" +
+              (i % 2 == 0 ? "{[1999-01-01, NOW]}"
+                          : "{[1995-05-05, 1996-06-06], [1997-01-01, "
+                            "1997-02-01]}") +
+              "')";
+  }
+  ASSERT_TRUE(db_->Execute(insert).ok());
+  const std::string sql = "SELECT id, name, valid FROM t";
+  Result<engine::ResultSet> local = db_->Execute(sql);
+  ASSERT_TRUE(local.ok()) << local.status().ToString();
+
+  std::vector<std::string> expected;  // kResultRows payloads
+  for (size_t i = 0; i < local->rows.size();) {
+    std::string rows_bytes;
+    uint32_t count = 0;
+    while (i < local->rows.size() &&
+           rows_bytes.size() < options.max_rows_frame_bytes) {
+      engine::EncodeRowImage(local->rows[i++], db_->types(), &rows_bytes);
+      ++count;
+    }
+    std::string payload;
+    engine::wire::PutU32(count, &payload);
+    payload += rows_bytes;
+    expected.push_back(std::move(payload));
+  }
+  ASSERT_GT(expected.size(), 2u);
+
+  const uint64_t bytes_before = db_->server_stats().bytes_out.load();
+  Result<int> fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kHello,
+                               wire::BuildHello(), 1000)
+                  .ok());
+  // ReadFrame checks each frame's length and CRC against its payload,
+  // so equal payloads mean equal frames.
+  uint64_t bytes_received = 0;
+  Result<wire::Frame> hello_ok = wire::ReadFrame(*fd, 5000, 5000);
+  ASSERT_TRUE(hello_ok.ok());
+  bytes_received += wire::kFrameHeaderSize + hello_ok->payload.size();
+  ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kExec,
+                               wire::BuildExec(sql, {}, db_->types()), 1000)
+                  .ok());
+  std::vector<std::string> received;
+  for (;;) {
+    Result<wire::Frame> frame = wire::ReadFrame(*fd, 5000, 5000);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    bytes_received += wire::kFrameHeaderSize + frame->payload.size();
+    if (frame->type == wire::FrameType::kResultDone) break;
+    if (frame->type == wire::FrameType::kResultRows) {
+      received.push_back(std::move(frame->payload));
+    } else {
+      ASSERT_EQ(frame->type, wire::FrameType::kResultHeader);
+    }
+  }
+  close(*fd);
+  EXPECT_EQ(received, expected);
+  // The server counts a frame once its send returns, which may be just
+  // after the client has read it.
+  for (int i = 0; i < 100 && db_->server_stats().bytes_out.load() -
+                                     bytes_before <
+                                 bytes_received;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(db_->server_stats().bytes_out.load() - bytes_before,
+            bytes_received);
+}
+
 // ---- Idle, cancel, disconnect ----------------------------------------------
 
 TEST_F(ServerTest, IdleSessionIsReaped) {

@@ -24,6 +24,7 @@ Result<TimelineView> TimelineView::Create(const client::ResultSet& result,
   rows.reserve(result.row_count());
   for (size_t r = 0; r < result.row_count(); ++r) {
     TimelineRow out;
+    out.fields.reserve(headers.size());
     for (size_t c = 0; c < result.column_count(); ++c) {
       if (c != col) out.fields.push_back(result.GetText(r, c));
     }
@@ -191,30 +192,38 @@ std::string TimelineView::Render(const TimeWindow& window,
 
 std::vector<size_t> TimelineView::Density(const TimeWindow& window,
                                           int width) const {
-  std::vector<size_t> buckets(static_cast<size_t>(width), 0);
+  const size_t n = static_cast<size_t>(width);
+  // Each run of buckets a row touches adds one at its first bucket and
+  // takes one away after its last; a running sum turns that into counts.
+  std::vector<int64_t> steps(n + 1, 0);
   const int64_t ws = window.start.seconds();
   const int64_t we = window.end.seconds();
   const double scale =
       static_cast<double>(width) / static_cast<double>(we - ws + 1);
   for (const TimelineRow& row : rows_) {
-    // Mark the buckets the row's validity touches, each at most once
-    // per row.
-    std::vector<bool> touched(static_cast<size_t>(width), false);
+    // A row's grounded periods are sorted and disjoint, so their
+    // buckets never go back: a period starts counting after the last
+    // bucket the row has counted, and counts each bucket once per row.
+    int next = 0;
     for (const GroundedPeriod& p : row.valid.periods()) {
       const int64_t s = std::max(p.start().seconds(), ws);
       const int64_t e = std::min(p.end().seconds(), we);
       if (s > e) continue;
       int from = static_cast<int>(static_cast<double>(s - ws) * scale);
       int to = static_cast<int>(static_cast<double>(e - ws) * scale);
-      from = std::clamp(from, 0, width - 1);
+      from = std::max(std::clamp(from, 0, width - 1), next);
       to = std::clamp(to, 0, width - 1);
-      for (int i = from; i <= to; ++i) {
-        touched[static_cast<size_t>(i)] = true;
-      }
+      if (from > to) continue;
+      ++steps[static_cast<size_t>(from)];
+      --steps[static_cast<size_t>(to) + 1];
+      next = to + 1;
     }
-    for (int i = 0; i < width; ++i) {
-      if (touched[static_cast<size_t>(i)]) ++buckets[static_cast<size_t>(i)];
-    }
+  }
+  std::vector<size_t> buckets(n);
+  int64_t running = 0;
+  for (size_t i = 0; i < n; ++i) {
+    running += steps[i];
+    buckets[i] = static_cast<size_t>(running);
   }
   return buckets;
 }

@@ -72,6 +72,32 @@ Result<int64_t> ParseCount(const std::string& word) {
   return v;
 }
 
+// The one loop that drains a plan, shared by the one-shot and the
+// prepared SELECT: each output row goes to the sink in one reused Row
+// (which a collecting sink moves from), after a guard check, and the
+// bytes the sink keeps for it are charged to the memory budget.
+Status RunPlan(const PlannedSelect& plan, EvalContext& eval,
+               ResultSink* sink) {
+  std::vector<ResultColumn> columns;
+  columns.reserve(plan.column_names.size());
+  for (size_t i = 0; i < plan.column_names.size(); ++i) {
+    columns.push_back({plan.column_names[i], plan.column_types[i]});
+  }
+  sink->Columns(std::move(columns));
+  ExecState state;
+  state.eval = &eval;
+  TIP_RETURN_IF_ERROR(plan.root->Open(state));
+  Row row;
+  for (;;) {
+    TIP_RETURN_IF_ERROR(eval.CheckGuard());
+    TIP_ASSIGN_OR_RETURN(bool has_row, plan.root->Next(state, &row));
+    if (!has_row) break;
+    TIP_RETURN_IF_ERROR(eval.ReserveMemory(sink->Add(&row)));
+  }
+  sink->Finish(0, std::string());
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<RecoveryMode> ParseRecoveryMode(std::string_view word) {
@@ -190,7 +216,9 @@ Result<ResultSet> Database::Execute(std::string_view sql,
     return ExecutePrepared(*plan, params, session);
   }
   TIP_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
-  return ExecuteParsed(stmt, params, sql, session);
+  CollectingSink sink;
+  TIP_RETURN_IF_ERROR(ExecuteParsed(stmt, params, sql, session, &sink));
+  return sink.Take();
 }
 
 Result<std::shared_ptr<const PreparedPlan>> Database::Prepare(
@@ -222,14 +250,22 @@ Result<std::shared_ptr<const PreparedPlan>> Database::Prepare(
 Result<ResultSet> Database::ExecutePrepared(const PreparedPlan& plan,
                                             const Params* params,
                                             SessionContext* session) {
+  CollectingSink sink;
+  TIP_RETURN_IF_ERROR(ExecutePrepared(plan, params, session, &sink));
+  return sink.Take();
+}
+
+Status Database::ExecutePrepared(const PreparedPlan& plan,
+                                 const Params* params,
+                                 SessionContext* session, ResultSink* sink) {
   if (plan.stmt().kind == Statement::Kind::kSelect) {
     return ApplyTxnErrorContract(
-        ExecutePreparedSelect(plan, params, session), session);
+        ExecutePreparedSelect(plan, params, session, sink), session);
   }
   // Non-SELECT statements reuse the parsed AST but re-plan per
   // execution: DML binds against live table state anyway, and DDL/SET
   // are not on any hot path.
-  return ExecuteParsed(plan.stmt(), params, plan.sql(), session);
+  return ExecuteParsed(plan.stmt(), params, plan.sql(), session, sink);
 }
 
 Result<ResultSet> Database::ExecuteScript(std::string_view script) {
@@ -304,23 +340,22 @@ bool Database::IsTxnFatal(StatusCode code) {
   }
 }
 
-Result<ResultSet> Database::ExecuteParsed(const Statement& stmt,
-                                          const Params* params,
-                                          std::string_view sql,
-                                          SessionContext* session) {
-  return ApplyTxnErrorContract(ExecuteStatement(stmt, params, sql, session),
-                               session);
+Status Database::ExecuteParsed(const Statement& stmt, const Params* params,
+                               std::string_view sql, SessionContext* session,
+                               ResultSink* sink) {
+  return ApplyTxnErrorContract(
+      ExecuteStatement(stmt, params, sql, session, sink), session);
 }
 
-Result<ResultSet> Database::ApplyTxnErrorContract(Result<ResultSet> result,
-                                                  SessionContext* session) {
+Status Database::ApplyTxnErrorContract(Status status,
+                                       SessionContext* session) {
   SessionContext* s = Sess(session);
   // Only the transaction's own thread may trip the auto-abort: a
   // concurrent read-only statement on another thread (a stats poll that
   // got cancelled, say) must not tear down a transaction it is not part
   // of — and must not touch the writer slot, which belongs to the
   // owner's thread.
-  if (!result.ok() && IsTxnFatal(result.status().code()) &&
+  if (!status.ok() && IsTxnFatal(status.code()) &&
       s->txn_thread.load(std::memory_order_acquire) ==
           std::this_thread::get_id() &&
       InTransaction(s)) {
@@ -330,7 +365,7 @@ Result<ResultSet> Database::ApplyTxnErrorContract(Result<ResultSet> result,
     // statements will surface).
     (void)RollbackTransaction(s);
   }
-  return result;
+  return status;
 }
 
 Database::GuardArm::GuardArm(Database* db, EvalContext* eval,
@@ -402,9 +437,10 @@ Result<std::shared_ptr<PreparedPlan::Variant>> Database::PlanPreparedVariant(
   return variant;
 }
 
-Result<ResultSet> Database::ExecutePreparedSelect(const PreparedPlan& plan,
-                                                  const Params* params,
-                                                  SessionContext* session) {
+Status Database::ExecutePreparedSelect(const PreparedPlan& plan,
+                                       const Params* params,
+                                       SessionContext* session,
+                                       ResultSink* sink) {
   SessionContext* s = Sess(session);
   const uint64_t version = catalog_version();
   std::string settings = SettingsFingerprint(s);
@@ -463,36 +499,16 @@ Result<ResultSet> Database::ExecutePreparedSelect(const PreparedPlan& plan,
   eval.params = &slots;
   GuardArm guard_arm(this, &eval, s);
 
-  ExecState state;
-  state.eval = &eval;
-  ResultSet result;
-  for (size_t i = 0; i < variant->plan.column_names.size(); ++i) {
-    result.columns.push_back(
-        {variant->plan.column_names[i], variant->plan.column_types[i]});
-  }
-  TIP_RETURN_IF_ERROR(variant->plan.root->Open(state));
-  Row row;
-  for (;;) {
-    TIP_RETURN_IF_ERROR(eval.CheckGuard());
-    TIP_ASSIGN_OR_RETURN(bool has_row,
-                         variant->plan.root->Next(state, &row));
-    if (!has_row) break;
-    TIP_RETURN_IF_ERROR(eval.ReserveMemory(exec_util::ApproxRowBytes(row)));
-    result.rows.push_back(std::move(row));
-  }
-  return result;
+  return RunPlan(variant->plan, eval, sink);
 }
 
-Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
-                                             const Params* params,
-                                             std::string_view sql,
-                                             SessionContext* session) {
+Status Database::ExecuteStatement(const Statement& stmt, const Params* params,
+                                  std::string_view sql,
+                                  SessionContext* session, ResultSink* sink) {
   SessionContext* s = Sess(session);
   PlannerContext pctx = MakePlannerContext(params, s);
 
   EvalContext eval(CurrentTx(s));
-  ExecState state;
-  state.eval = &eval;
 
   // A write statement inside this session's transaction materializes
   // the single writer slot (undo log + WAL bracket) before touching
@@ -511,31 +527,30 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
   // deadline, cancel flag and memory budget travel to the operators via
   // the EvalContext. The guard is visible to other threads (for
   // Connection::Cancel) only while registered, and RAII deregistration
-  // covers every return path out of the switch below.
+  // covers every return path below.
   GuardArm guard_arm(this, &eval, s);
 
-  switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      TIP_ASSIGN_OR_RETURN(PlannedSelect plan,
-                           PlanSelect(*stmt.select, pctx, nullptr));
-      ResultSet result;
-      for (size_t i = 0; i < plan.column_names.size(); ++i) {
-        result.columns.push_back(
-            {plan.column_names[i], plan.column_types[i]});
-      }
-      TIP_RETURN_IF_ERROR(plan.root->Open(state));
-      Row row;
-      for (;;) {
-        TIP_RETURN_IF_ERROR(eval.CheckGuard());
-        TIP_ASSIGN_OR_RETURN(bool has_row, plan.root->Next(state, &row));
-        if (!has_row) break;
-        TIP_RETURN_IF_ERROR(
-            eval.ReserveMemory(exec_util::ApproxRowBytes(row)));
-        result.rows.push_back(std::move(row));
-      }
-      return result;
-    }
+  if (stmt.kind == Statement::Kind::kSelect) {
+    TIP_ASSIGN_OR_RETURN(PlannedSelect plan,
+                         PlanSelect(*stmt.select, pctx, nullptr));
+    return RunPlan(plan, eval, sink);
+  }
+  TIP_ASSIGN_OR_RETURN(ResultSet result,
+                       ExecuteCommand(stmt, sql, s, pctx, eval));
+  // The rows of a command's result (EXPLAIN, CHECK) are built already,
+  // so handing them over charges nothing more.
+  sink->Columns(std::move(result.columns));
+  for (Row& row : result.rows) sink->Add(&row);
+  sink->Finish(result.affected_rows, std::move(result.message));
+  return Status::OK();
+}
 
+Result<ResultSet> Database::ExecuteCommand(const Statement& stmt,
+                                           std::string_view sql,
+                                           SessionContext* s,
+                                           const PlannerContext& pctx,
+                                           EvalContext& eval) {
+  switch (stmt.kind) {
     case Statement::Kind::kExplain: {
       TIP_ASSIGN_OR_RETURN(PlannedSelect plan,
                            PlanSelect(*stmt.select, pctx, nullptr));
@@ -1128,6 +1143,9 @@ Result<ResultSet> Database::ExecuteStatement(const Statement& stmt,
                                  " CORRUPT OBJECT(S)";
       return result;
     }
+
+    case Statement::Kind::kSelect:
+      break;  // ExecuteStatement runs queries through RunPlan
   }
   return Status::Internal("unhandled statement kind");
 }

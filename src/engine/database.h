@@ -218,6 +218,14 @@ class Database {
   Result<ResultSet> ExecutePrepared(const PreparedPlan& plan,
                                     const Params* params = nullptr,
                                     SessionContext* session = nullptr);
+  /// The same, handing the result to `sink` as the plan produces it
+  /// (the overload above collects it into a ResultSet): the columns,
+  /// then each output row, then the affected count and message. A
+  /// statement that is not a SELECT builds its small result whole and
+  /// then hands it over. On failure the sink may hold part of the
+  /// result, which the caller discards.
+  Status ExecutePrepared(const PreparedPlan& plan, const Params* params,
+                         SessionContext* session, ResultSink* sink);
 
   /// SET plan_cache on|off: when off, Execute(sql) parses and plans
   /// from scratch (the pre-cache behavior) and Prepare stops consulting
@@ -468,18 +476,25 @@ class Database {
   /// transaction aborts the whole transaction (the caller cannot know
   /// how much of the statement ran); plain validation errors leave it
   /// open (statement-level atomicity already restored the tables).
-  Result<ResultSet> ExecuteParsed(const Statement& stmt, const Params* params,
-                                  std::string_view sql,
-                                  SessionContext* session);
-  Result<ResultSet> ExecuteStatement(const Statement& stmt,
-                                     const Params* params,
-                                     std::string_view sql,
-                                     SessionContext* session);
+  Status ExecuteParsed(const Statement& stmt, const Params* params,
+                       std::string_view sql, SessionContext* session,
+                       ResultSink* sink);
+  /// One statement under its guard: a SELECT runs its plan into the
+  /// sink, anything else runs through ExecuteCommand and hands the
+  /// ResultSet it built to the sink.
+  Status ExecuteStatement(const Statement& stmt, const Params* params,
+                          std::string_view sql, SessionContext* session,
+                          ResultSink* sink);
+  /// Every statement kind but SELECT (DDL, DML, SET, transaction
+  /// control, CHECK, EXPLAIN), each building its small result whole.
+  Result<ResultSet> ExecuteCommand(const Statement& stmt,
+                                   std::string_view sql, SessionContext* s,
+                                   const PlannerContext& pctx,
+                                   EvalContext& eval);
   /// The prepared SELECT fast path: find or build a plan variant, then
   /// run the cached tree under a fresh EvalContext.
-  Result<ResultSet> ExecutePreparedSelect(const PreparedPlan& plan,
-                                          const Params* params,
-                                          SessionContext* session);
+  Status ExecutePreparedSelect(const PreparedPlan& plan, const Params* params,
+                               SessionContext* session, ResultSink* sink);
   /// Plans one variant of a prepared SELECT under the current catalog.
   Result<std::shared_ptr<PreparedPlan::Variant>> PlanPreparedVariant(
       const PreparedPlan& plan, const Params* params, uint64_t version,
@@ -493,8 +508,7 @@ class Database {
                                     SessionContext* session);
   /// Shared auto-abort contract for both execution paths (see
   /// ExecuteParsed).
-  Result<ResultSet> ApplyTxnErrorContract(Result<ResultSet> result,
-                                          SessionContext* session);
+  Status ApplyTxnErrorContract(Status status, SessionContext* session);
 
   /// Maps null to the built-in global session (the embedded client and
   /// the C API never construct a SessionContext of their own).

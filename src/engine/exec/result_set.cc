@@ -3,8 +3,24 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "engine/exec/row_utils.h"
 
 namespace tip::engine {
+
+void CollectingSink::Columns(std::vector<ResultColumn> columns) {
+  result_.columns = std::move(columns);
+}
+
+size_t CollectingSink::Add(Row* row) {
+  const size_t bytes = exec_util::ApproxRowBytes(*row);
+  result_.rows.push_back(std::move(*row));
+  return bytes;
+}
+
+void CollectingSink::Finish(int64_t affected_rows, std::string message) {
+  result_.affected_rows = affected_rows;
+  result_.message = std::move(message);
+}
 
 int ResultSet::FindColumn(std::string_view name) const {
   for (size_t i = 0; i < columns.size(); ++i) {

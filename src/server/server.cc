@@ -624,9 +624,12 @@ bool Server::HandleExec(Session* session, const wire::Frame& frame) {
     Status gate = UpgradeToExclusive(session, options_.lock_wait_ms);
     if (!gate.ok()) return SendError(session, gate, true);
   }
+  // The rows are encoded into their frames as the plan produces them;
+  // a failed statement's frames are dropped unsent.
+  wire::ResultFrames frames(db_->types(), options_.max_rows_frame_bytes);
   session->executing.store(true, std::memory_order_release);
-  Result<engine::ResultSet> result =
-      db_->ExecutePrepared(**plan, &request->params, engine_session);
+  const Status status = db_->ExecutePrepared(**plan, &request->params,
+                                             engine_session, &frames);
   session->executing.store(false, std::memory_order_release);
   db_->server_stats().statements_served.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -634,10 +637,10 @@ bool Server::HandleExec(Session* session, const wire::Frame& frame) {
   // A transaction holds the gate across its statements (shared until
   // its first write); between transactions it drops per statement.
   if (!in_txn) ReleaseGate(session);
-  // Stream after releasing the gate: the rows are materialized values,
-  // so a slow client stalls only its own connection, never the engine.
-  if (!result.ok()) return SendError(session, result.status(), in_txn);
-  return StreamResult(session, *result, in_txn);
+  // Send after releasing the gate: the frames hold encoded values, so a
+  // slow client stalls only its own connection, never the engine.
+  if (!status.ok()) return SendError(session, status, in_txn);
+  return SendResult(session, &frames, in_txn);
 }
 
 bool Server::HandlePrepare(Session* session, const wire::Frame& frame) {
@@ -664,46 +667,22 @@ bool Server::SendError(Session* session, const Status& status, bool in_txn) {
       .ok();
 }
 
-bool Server::StreamResult(Session* session, const engine::ResultSet& result,
-                          bool in_txn) {
-  if (!WriteChecked(session, wire::FrameType::kResultHeader,
-                    wire::BuildResultHeader(result, in_txn, db_->types()))
-           .ok()) {
-    session->aborted = true;
-    return false;
+bool Server::SendResult(Session* session, wire::ResultFrames* frames,
+                        bool in_txn) {
+  bool sent = WriteChecked(session, wire::FrameType::kResultHeader,
+                           frames->Header(in_txn))
+                  .ok();
+  // Each chunk's payload stays near max_rows_frame_bytes and every
+  // write is deadline-bounded.
+  for (std::string& chunk : frames->chunks()) {
+    if (!sent) break;
+    sent = SendChecked(session, wire::FrameType::kResultRows, &chunk).ok();
   }
-  // Chunked rows: each frame's payload stays near max_rows_frame_bytes
-  // and every write is deadline-bounded — the outbound buffer for one
-  // statement is one chunk, regardless of result size. Each chunk's
-  // row images are encoded straight into its frame, after the header
-  // and the row count, which are filled in once the chunk is full.
-  size_t i = 0;
-  const size_t n = result.rows.size();
-  std::string frame;
-  while (i < n) {
-    wire::BeginFrame(&frame);
-    engine::wire::PutU32(0, &frame);
-    const size_t rows_begin = frame.size();
-    uint32_t count = 0;
-    while (i < n &&
-           frame.size() - rows_begin < options_.max_rows_frame_bytes) {
-      engine::EncodeRowImage(result.rows[i], db_->types(), &frame);
-      ++i;
-      ++count;
-    }
-    std::string count_bytes;
-    engine::wire::PutU32(count, &count_bytes);
-    frame.replace(wire::kFrameHeaderSize, count_bytes.size(), count_bytes);
-    if (!SendChecked(session, wire::FrameType::kResultRows, &frame).ok()) {
-      session->aborted = true;
-      return false;
-    }
+  if (sent) {
+    sent = WriteChecked(session, wire::FrameType::kResultDone, "").ok();
   }
-  if (!WriteChecked(session, wire::FrameType::kResultDone, "").ok()) {
-    session->aborted = true;
-    return false;
-  }
-  return true;
+  if (!sent) session->aborted = true;
+  return sent;
 }
 
 void Server::FinishSession(Session* session) {

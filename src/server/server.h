@@ -53,10 +53,11 @@
 ///    injected `server.accept/read/write/frame_crc` fault) kills only
 ///    that session; its open transaction auto-rolls back and its slot
 ///    frees while every other session keeps serving.
-///  - Backpressure: results stream in bounded kResultRows chunks
-///    (`max_rows_frame_bytes`) with poll-bounded writes
+///  - Backpressure: results are encoded into bounded kResultRows chunks
+///    (`max_rows_frame_bytes`) as the plan produces them, under the
+///    gate, and sent after it with poll-bounded writes
 ///    (`write_timeout_ms`); the engine-side memory budget
-///    (`memory_limit_kb`) bounds materialization. A client that stops
+///    (`memory_limit_kb`) bounds the encoded bytes. A client that stops
 ///    reading is fail-stopped, not buffered without bound.
 ///  - Graceful drain: Shutdown() stops accepting, rejects the queue,
 ///    lets in-flight statements finish up to `drain_timeout_ms` (then
@@ -164,12 +165,14 @@ class Server {
   void SessionLoop(Session* session);
 
   /// One statement (or prepare) on a session: classify, gate, execute
-  /// under the session's engine context, stream. Returns false when
-  /// the session must fail-stop.
+  /// under the session's engine context into wire frames, send them
+  /// after the gate. Returns false when the session must fail-stop.
   bool HandleExec(Session* session, const wire::Frame& frame);
   bool HandlePrepare(Session* session, const wire::Frame& frame);
-  bool StreamResult(Session* session, const engine::ResultSet& result,
-                    bool in_txn);
+  /// Seals and sends a successful statement's header, row chunks and
+  /// done frame.
+  bool SendResult(Session* session, wire::ResultFrames* frames,
+                  bool in_txn);
   bool SendError(Session* session, const Status& status, bool in_txn);
 
   /// Session-side frame I/O with the `server.read` / `server.write` /

@@ -112,6 +112,10 @@ constexpr uint64_t kMaxColumns = 1u << 16;
 constexpr uint64_t kMaxParams = 1u << 16;
 constexpr uint64_t kMaxRowsPerChunk = 1u << 24;
 
+// Where a kResultRows frame's row images start: after the frame header
+// and the u32 row count.
+constexpr size_t kChunkRowsBegin = kFrameHeaderSize + sizeof(uint32_t);
+
 }  // namespace
 
 bool IsCleanEof(const Status& status) {
@@ -410,20 +414,6 @@ Result<CancelRequest> ParseCancel(std::string_view payload) {
   return out;
 }
 
-std::string BuildResultHeader(const engine::ResultSet& result, bool in_txn,
-                              const engine::TypeRegistry& types) {
-  std::string out;
-  ewire::PutU64(static_cast<uint64_t>(result.affected_rows), &out);
-  ewire::PutString(result.message, &out);
-  ewire::PutU8(in_txn ? 1 : 0, &out);
-  ewire::PutU32(static_cast<uint32_t>(result.columns.size()), &out);
-  for (const engine::ResultColumn& col : result.columns) {
-    ewire::PutString(col.name, &out);
-    ewire::PutString(types.Get(col.type).name, &out);
-  }
-  return out;
-}
-
 Result<ResultHeader> ParseResultHeader(std::string_view payload) {
   ewire::Reader reader(payload);
   ResultHeader out;
@@ -449,12 +439,53 @@ Result<ResultHeader> ParseResultHeader(std::string_view payload) {
   return out;
 }
 
-std::string BuildRowsChunk(const engine::ResultSet& result, size_t first,
-                           size_t last, const engine::TypeRegistry& types) {
+ResultFrames::ResultFrames(const engine::TypeRegistry& types,
+                           size_t max_rows_frame_bytes)
+    : types_(types), max_rows_frame_bytes_(max_rows_frame_bytes) {}
+
+void ResultFrames::Columns(std::vector<engine::ResultColumn> columns) {
+  columns_ = std::move(columns);
+}
+
+size_t ResultFrames::Add(engine::Row* row) {
+  if (open_rows_ == 0) {
+    chunks_.emplace_back();
+    BeginFrame(&chunks_.back());
+    ewire::PutU32(0, &chunks_.back());  // the row count, set by CloseChunk
+  }
+  std::string& frame = chunks_.back();
+  const size_t before = frame.size();
+  engine::EncodeRowImage(*row, types_, &frame);
+  ++open_rows_;
+  const size_t encoded = frame.size() - before;
+  if (frame.size() - kChunkRowsBegin >= max_rows_frame_bytes_) {
+    CloseChunk();
+  }
+  return encoded;
+}
+
+void ResultFrames::Finish(int64_t affected_rows, std::string message) {
+  if (open_rows_ > 0) CloseChunk();
+  affected_rows_ = affected_rows;
+  message_ = std::move(message);
+}
+
+void ResultFrames::CloseChunk() {
+  std::string count;
+  ewire::PutU32(open_rows_, &count);
+  chunks_.back().replace(kFrameHeaderSize, count.size(), count);
+  open_rows_ = 0;
+}
+
+std::string ResultFrames::Header(bool in_txn) const {
   std::string out;
-  ewire::PutU32(static_cast<uint32_t>(last - first), &out);
-  for (size_t i = first; i < last; ++i) {
-    engine::EncodeRowImage(result.rows[i], types, &out);
+  ewire::PutU64(static_cast<uint64_t>(affected_rows_), &out);
+  ewire::PutString(message_, &out);
+  ewire::PutU8(in_txn ? 1 : 0, &out);
+  ewire::PutU32(static_cast<uint32_t>(columns_.size()), &out);
+  for (const engine::ResultColumn& col : columns_) {
+    ewire::PutString(col.name, &out);
+    ewire::PutString(types_.Get(col.type).name, &out);
   }
   return out;
 }

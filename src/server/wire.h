@@ -160,11 +160,10 @@ struct CancelRequest {
 std::string BuildCancel(const CancelRequest& req);
 Result<CancelRequest> ParseCancel(std::string_view payload);
 
-/// ResultHeader describes everything about a ResultSet except the rows:
+/// ResultHeader describes everything about a result except the rows:
 /// affected count, DDL/SET message, whether the session is now inside a
-/// transaction, and the column schema (names + type names).
-std::string BuildResultHeader(const engine::ResultSet& result, bool in_txn,
-                              const engine::TypeRegistry& types);
+/// transaction, and the column schema (names + type names). The server
+/// builds it with ResultFrames::Header.
 struct ResultHeader {
   int64_t affected_rows = 0;
   std::string message;
@@ -174,12 +173,43 @@ struct ResultHeader {
 };
 Result<ResultHeader> ParseResultHeader(std::string_view payload);
 
-/// One chunk of rows: u32 nrows | nrows row images over the result's
-/// columns. `first`/`last` index into result.rows (half-open).
-std::string BuildRowsChunk(const engine::ResultSet& result, size_t first,
-                           size_t last, const engine::TypeRegistry& types);
-/// Decodes a chunk against the column types resolved from the header
-/// (one TypeId per column, client-side registry).
+/// A statement's result as the server sends it, encoded while the
+/// engine runs the statement (tipd's engine::ResultSink). Each row is
+/// encoded straight into the current kResultRows frame, whose payload
+/// is u32 nrows | nrows row images; a chunk closes once its row bytes
+/// reach `max_rows_frame_bytes`. The frames are begun (BeginFrame) but
+/// not sealed: the server seals and sends them after the statement has
+/// left the execution gate.
+class ResultFrames final : public engine::ResultSink {
+ public:
+  ResultFrames(const engine::TypeRegistry& types,
+               size_t max_rows_frame_bytes);
+
+  void Columns(std::vector<engine::ResultColumn> columns) override;
+  /// Returns the row's encoded size.
+  size_t Add(engine::Row* row) override;
+  void Finish(int64_t affected_rows, std::string message) override;
+
+  /// The kResultHeader payload.
+  std::string Header(bool in_txn) const;
+  /// The kResultRows frames, in order, each ready for SealFrame.
+  std::vector<std::string>& chunks() { return chunks_; }
+
+ private:
+  /// Writes the open chunk's row count into its payload.
+  void CloseChunk();
+
+  const engine::TypeRegistry& types_;
+  const size_t max_rows_frame_bytes_;
+  std::vector<engine::ResultColumn> columns_;
+  int64_t affected_rows_ = 0;
+  std::string message_;
+  std::vector<std::string> chunks_;
+  uint32_t open_rows_ = 0;  // rows in chunks_.back(); 0 = no open chunk
+};
+
+/// Decodes a kResultRows payload against the column types resolved
+/// from the header (one TypeId per column, client-side registry).
 Result<std::vector<engine::Row>> ParseRowsChunk(
     std::string_view payload, const std::vector<engine::TypeId>& columns,
     const engine::TypeRegistry& types);

@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "datablade/datablade.h"
+
 namespace tip::browser {
 namespace {
 
@@ -177,6 +185,116 @@ TEST_F(BrowserTest, DensityEmptyWindowIsBlank) {
   std::string strip =
       view.RenderDensity(Window("1998-01-01", "1998-02-01"), 6);
   EXPECT_EQ(strip, "|      |");
+}
+
+// The density count as it was first written: a flag per bucket for
+// every row, then a pass over all the buckets. Kept as the reference
+// that Density must equal.
+std::vector<size_t> ReferenceDensity(const TimelineView& view,
+                                     const TimeWindow& window, int width) {
+  std::vector<size_t> buckets(static_cast<size_t>(width), 0);
+  const int64_t ws = window.start.seconds();
+  const int64_t we = window.end.seconds();
+  const double scale =
+      static_cast<double>(width) / static_cast<double>(we - ws + 1);
+  for (const TimelineRow& row : view.rows()) {
+    std::vector<bool> touched(static_cast<size_t>(width), false);
+    for (const GroundedPeriod& p : row.valid.periods()) {
+      const int64_t s = std::max(p.start().seconds(), ws);
+      const int64_t e = std::min(p.end().seconds(), we);
+      if (s > e) continue;
+      int from = static_cast<int>(static_cast<double>(s - ws) * scale);
+      int to = static_cast<int>(static_cast<double>(e - ws) * scale);
+      from = std::clamp(from, 0, width - 1);
+      to = std::clamp(to, 0, width - 1);
+      for (int i = from; i <= to; ++i) {
+        touched[static_cast<size_t>(i)] = true;
+      }
+    }
+    for (int i = 0; i < width; ++i) {
+      if (touched[static_cast<size_t>(i)]) ++buckets[static_cast<size_t>(i)];
+    }
+  }
+  return buckets;
+}
+
+// Random views, windows and widths: periods inside, across and outside
+// the window, ending on a bucket edge or the second before one, several
+// short periods of one row in one bucket, NOW-relative ends (some of
+// which ground inverted and drop out), NULL validities, and width 1.
+TEST_F(BrowserTest, DensityMatchesThePerRowFlagCount) {
+  const datablade::TipTypes& tip = conn_->tip_types();
+  const int64_t now = conn_->database().CurrentTx().now.seconds();
+  std::mt19937_64 rng(20261019);
+  auto uniform = [&rng](int64_t lo, int64_t hi) {
+    return std::uniform_int_distribution<int64_t>(lo, hi)(rng);
+  };
+  auto at = [](int64_t seconds) {
+    return Instant::Absolute(*Chronon::FromSeconds(seconds));
+  };
+  int edge_rounds = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int width = round % 10 == 0 ? 1 : static_cast<int>(uniform(1, 90));
+    // With a window of whole buckets every bucket edge is a second.
+    const bool whole_buckets = round % 2 == 0;
+    const int64_t bucket = uniform(1, 4000);
+    const int64_t len = whole_buckets ? bucket * width : uniform(1, 400000);
+    const int64_t ws = now - uniform(0, 2 * len);
+    const int64_t we = ws + len - 1;
+    auto edge = [&] { return ws + uniform(0, width) * len / width; };
+    auto point = [&]() -> int64_t {
+      switch (uniform(0, 3)) {
+        case 0:
+          return uniform(ws - len, we + len);  // may miss the window
+        case 1:
+          return edge() - uniform(0, 1);  // on an edge or just before
+        default:
+          return uniform(ws, we);
+      }
+    };
+    engine::ResultSet raw;
+    raw.columns = {{"id", engine::TypeId::kInt}, {"valid", tip.element}};
+    const int64_t rows = uniform(0, 40);
+    for (int64_t r = 0; r < rows; ++r) {
+      engine::Row row = {engine::Datum::Int(r),
+                         engine::Datum::NullOf(tip.element)};
+      if (uniform(0, 15) > 0) {
+        std::vector<Period> periods;
+        const int64_t count = uniform(1, 6);
+        for (int64_t k = 0; k < count; ++k) {
+          int64_t a = point();
+          int64_t b = uniform(0, 2) == 0 ? a + uniform(0, 3) : point();
+          if (a > b) std::swap(a, b);
+          Instant end = at(b);
+          if (uniform(0, 5) == 0) {
+            end = Instant::NowRelative(Span::FromSeconds(b - now));
+          }
+          periods.push_back(*Period::Make(at(a), end));
+        }
+        if (whole_buckets && bucket >= 8) {
+          // Two periods in one bucket: the row counts it once.
+          const int64_t first = ws + uniform(0, width - 1) * bucket;
+          periods.push_back(*Period::Make(at(first + 1), at(first + 2)));
+          periods.push_back(*Period::Make(at(first + 5), at(first + 6)));
+          ++edge_rounds;
+        }
+        row[1] = datablade::MakeElement(tip, Element::FromPeriods(periods));
+      }
+      raw.rows.push_back(std::move(row));
+    }
+    client::ResultSet result(std::move(raw), tip,
+                             &conn_->database().types());
+    Result<TimelineView> view = TimelineView::Create(
+        result, "valid", conn_->database().CurrentTx());
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const TimeWindow window{*Chronon::FromSeconds(ws),
+                            *Chronon::FromSeconds(we)};
+    ASSERT_EQ(view->Density(window, width),
+              ReferenceDensity(*view, window, width))
+        << "round " << round << ": width " << width << ", window " << ws
+        << ".." << we;
+  }
+  EXPECT_GT(edge_rounds, 100);
 }
 
 TEST_F(BrowserTest, NullValidityRowsNeverHighlight) {

@@ -160,11 +160,14 @@ TEST(WireRowImageTest, RowChunksAndParamsCarryTheWalRowImage) {
   engine::EncodeRowImage(row, types, &wal_image);
   EXPECT_EQ(wal_image, image);
 
-  engine::ResultSet result;
-  result.rows = {row};
+  wire::ResultFrames frames(types, ServerOptions().max_rows_frame_bytes);
+  engine::Row sent = row;
+  EXPECT_EQ(frames.Add(&sent), image.size());
+  frames.Finish(0, "");
+  ASSERT_EQ(frames.chunks().size(), 1u);
   std::string chunk;
   engine::wire::PutU32(1, &chunk);
-  EXPECT_EQ(wire::BuildRowsChunk(result, 0, 1, types), chunk + image);
+  EXPECT_EQ(frames.chunks()[0].substr(wire::kFrameHeaderSize), chunk + image);
 
   engine::Params params = {{"w", element}};
   std::string exec;
@@ -484,6 +487,279 @@ TEST_F(ServerTest, ResultChunksMatchTheReferenceEncoding) {
   }
   EXPECT_EQ(db_->server_stats().bytes_out.load() - bytes_before,
             bytes_received);
+}
+
+// ---- Results encoded from the plan ----------------------------------------
+
+// Opens a session over a bare socket, so a test sees every frame the
+// server sends rather than what the client library makes of them.
+// Returns the socket, or -1 after a failed expectation.
+int OpenRawSession(int port, wire::HelloOk* hello) {
+  Result<int> fd = wire::DialTcp("127.0.0.1", port, 1000);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) return -1;
+  Status sent =
+      wire::WriteFrame(*fd, wire::FrameType::kHello, wire::BuildHello(), 1000);
+  Result<wire::Frame> reply =
+      sent.ok() ? wire::ReadFrame(*fd, 5000, 5000) : Result<wire::Frame>(sent);
+  Result<wire::HelloOk> parsed =
+      reply.ok() ? wire::ParseHelloOk(reply->payload)
+                 : Result<wire::HelloOk>(reply.status());
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) {
+    close(*fd);
+    return -1;
+  }
+  *hello = *parsed;
+  return *fd;
+}
+
+// Sends one statement on a bare session and returns the frames of its
+// reply, up to the kResultDone or kError that ends it.
+std::vector<wire::Frame> RawExec(int fd, const std::string& sql,
+                                 const engine::TypeRegistry& types,
+                                 const engine::Params& params = {}) {
+  std::vector<wire::Frame> frames;
+  Status sent = wire::WriteFrame(fd, wire::FrameType::kExec,
+                                 wire::BuildExec(sql, params, types), 1000);
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  while (sent.ok()) {
+    Result<wire::Frame> frame = wire::ReadFrame(fd, 10000, 5000);
+    EXPECT_TRUE(frame.ok()) << sql << " -> " << frame.status().ToString();
+    if (!frame.ok()) break;
+    frames.push_back(std::move(*frame));
+    if (frames.back().type == wire::FrameType::kResultDone ||
+        frames.back().type == wire::FrameType::kError) {
+      break;
+    }
+  }
+  return frames;
+}
+
+// The error of a reply that must consist of one kError frame alone:
+// no header and no rows before it.
+wire::WireError OnlyError(const std::vector<wire::Frame>& frames) {
+  EXPECT_EQ(frames.size(), 1u);
+  if (frames.empty() || frames.back().type != wire::FrameType::kError) {
+    ADD_FAILURE() << "the reply does not end in an error frame";
+    return wire::WireError{Status::Internal("no error frame"), false};
+  }
+  Result<wire::WireError> error = wire::ParseError(frames.back().payload);
+  EXPECT_TRUE(error.ok());
+  return error.ok() ? *error
+                    : wire::WireError{Status::Internal("torn error"), false};
+}
+
+// Total row-chunk payload bytes of a successful reply.
+size_t RowBytes(const std::vector<wire::Frame>& frames) {
+  EXPECT_FALSE(frames.empty());
+  if (!frames.empty()) {
+    EXPECT_EQ(frames.back().type, wire::FrameType::kResultDone);
+  }
+  size_t bytes = 0;
+  for (const wire::Frame& frame : frames) {
+    if (frame.type == wire::FrameType::kResultRows) {
+      bytes += frame.payload.size();
+    }
+  }
+  return bytes;
+}
+
+// 3,000 prescriptions whose validities mix NOW-relative and absolute
+// Elements, behind an interval index; kWindow overlaps every one of
+// them under NOW 1999-11-15.
+constexpr int kWindowRows = 3000;
+constexpr char kWindow[] =
+    "SELECT id, patient, drug, valid FROM rx "
+    "WHERE overlaps(valid, '{[1999-01-01, 1999-12-31]}'::Element)";
+
+void LoadWindowTable(engine::Database* db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE rx (id INT, patient CHAR(20), "
+                          "drug CHAR(20), valid Element)")
+                  .ok());
+  std::string insert = "INSERT INTO rx VALUES ";
+  for (int i = 0; i < kWindowRows; ++i) {
+    const std::string day = std::to_string(10 + i % 18);
+    std::string valid;
+    switch (i % 3) {
+      case 0:
+        valid = "{[1999-02-" + day + ", NOW]}";
+        break;
+      case 1:
+        valid = "{[1998-06-" + day + ", 1999-03-01], [1999-06-" + day +
+                ", NOW]}";
+        break;
+      default:
+        valid = "{[1995-01-" + day + ", 2001-01-01]}";
+        break;
+    }
+    if (i > 0) insert += ", ";
+    insert += "(" + std::to_string(i) + ", 'patient" +
+              std::to_string(i % 500) + "', 'drug" + std::to_string(i % 40) +
+              "', '" + valid + "')";
+  }
+  ASSERT_TRUE(db->Execute(insert).ok());
+  ASSERT_TRUE(
+      db->Execute("CREATE INDEX rx_valid ON rx (valid) USING interval").ok());
+}
+
+// The rows of a result as text, in their order.
+std::vector<std::string> RowTexts(const engine::ResultSet& result,
+                                  const engine::TypeRegistry& types) {
+  std::vector<std::string> lines;
+  for (const engine::Row& row : result.rows) {
+    std::string line;
+    for (const engine::Datum& value : row) line += types.Format(value) + "|";
+    lines.push_back(std::move(line));
+  }
+  return lines;
+}
+
+TEST_F(ServerTest, MemoryBudgetBoundsABigRemoteResult) {
+  StartServer();
+  LoadWindowTable(db_.get());
+  wire::HelloOk hello;
+  const int fd = OpenRawSession(server_->port(), &hello);
+  ASSERT_GE(fd, 0);
+  const engine::TypeRegistry& types = db_->types();
+  RawExec(fd, "SET NOW '1999-11-15'", types);
+  const size_t encoded = RowBytes(RawExec(fd, kWindow, types));
+  const size_t limit_kb = 64;
+  ASSERT_GT(encoded, limit_kb * 1024);
+
+  RawExec(fd, "SET memory_limit_kb " + std::to_string(limit_kb), types);
+  const wire::WireError error = OnlyError(RawExec(fd, kWindow, types));
+  EXPECT_EQ(error.status.code(), StatusCode::kResourceExhausted)
+      << error.status.ToString();
+  EXPECT_FALSE(error.in_txn);
+
+  // The session and its gate survive: the next statement, under the
+  // same limit, answers.
+  std::vector<wire::Frame> next = RawExec(
+      fd,
+      "SELECT count(*) FROM rx "
+      "WHERE overlaps(valid, '{[1999-01-01, 1999-12-31]}'::Element)",
+      types);
+  ASSERT_EQ(next.size(), 3u);
+  Result<std::vector<engine::Row>> count =
+      wire::ParseRowsChunk(next[1].payload, {engine::TypeId::kInt}, types);
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+  EXPECT_EQ((*count)[0][0].int_value(), kWindowRows);
+  close(fd);
+
+  // The same limit trips the embedded path, which charges each row
+  // it collects.
+  ASSERT_TRUE(db_->Execute("SET NOW '1999-11-15'").ok());
+  ASSERT_TRUE(
+      db_->Execute("SET memory_limit_kb " + std::to_string(limit_kb)).ok());
+  Result<engine::ResultSet> embedded = db_->Execute(kWindow);
+  ASSERT_FALSE(embedded.ok());
+  EXPECT_EQ(embedded.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST_F(ServerTest, FailureAfterEncodedRowsSendsNoPartialResult) {
+  ServerOptions options;
+  options.max_rows_frame_bytes = 512;  // chunks close before the failure
+  StartServer(options);
+  LoadWindowTable(db_.get());
+  wire::HelloOk hello;
+  const int fd = OpenRawSession(server_->port(), &hello);
+  ASSERT_GE(fd, 0);
+  const engine::TypeRegistry& types = db_->types();
+  // Row 2500 divides by zero after 2,500 rows were encoded.
+  const std::string failing = "SELECT id, 10 / (id - 2500) FROM rx";
+
+  wire::WireError error = OnlyError(RawExec(fd, failing, types));
+  EXPECT_EQ(error.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(error.status.message().find("division by zero"),
+            std::string::npos);
+  EXPECT_FALSE(error.in_txn);
+
+  // Inside a transaction the error leaves it open, as a validation
+  // error does, and ROLLBACK ends it.
+  ASSERT_EQ(RawExec(fd, "BEGIN", types).back().type,
+            wire::FrameType::kResultDone);
+  error = OnlyError(RawExec(fd, failing, types));
+  EXPECT_EQ(error.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(error.in_txn);
+  std::vector<wire::Frame> rollback = RawExec(fd, "ROLLBACK", types);
+  ASSERT_EQ(rollback.size(), 2u);
+  Result<wire::ResultHeader> header =
+      wire::ParseResultHeader(rollback[0].payload);
+  ASSERT_TRUE(header.ok());
+  EXPECT_EQ(header->message, "ROLLBACK");
+  EXPECT_FALSE(header->in_txn);
+  close(fd);
+}
+
+TEST_F(ServerTest, CancelDuringALongScanSendsNoPartialResult) {
+  ServerOptions options;
+  options.max_rows_frame_bytes = 512;
+  StartServer(options);
+  LoadWindowTable(db_.get());
+  wire::HelloOk hello;
+  const int fd = OpenRawSession(server_->port(), &hello);
+  ASSERT_GE(fd, 0);
+  // About 1 ms a row, so rows are being encoded when the cancel lands.
+  ASSERT_TRUE(wire::WriteFrame(
+                  fd, wire::FrameType::kExec,
+                  wire::BuildExec("SELECT id, tip_sleep_ms(1) FROM rx", {},
+                                  db_->types()),
+                  1000)
+                  .ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  std::vector<wire::Frame> frames;
+  for (int i = 0; i < 200 && frames.empty(); ++i) {
+    Result<int> cancel_fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
+    ASSERT_TRUE(cancel_fd.ok());
+    ASSERT_TRUE(wire::WriteFrame(*cancel_fd, wire::FrameType::kCancel,
+                                 wire::BuildCancel({hello.session_id,
+                                                    hello.cancel_key}),
+                                 1000)
+                    .ok());
+    close(*cancel_fd);
+    Result<wire::Frame> frame = wire::ReadFrame(fd, 20, 5000);
+    if (frame.ok()) {
+      frames.push_back(std::move(*frame));
+    } else {
+      ASSERT_TRUE(wire::IsIdleTimeout(frame.status()))
+          << frame.status().ToString();
+    }
+  }
+  const wire::WireError error = OnlyError(frames);
+  EXPECT_EQ(error.status.code(), StatusCode::kCancelled)
+      << error.status.ToString();
+  EXPECT_FALSE(error.in_txn);
+  // The session goes on.
+  EXPECT_EQ(RawExec(fd, "SELECT count(*) FROM rx", db_->types()).back().type,
+            wire::FrameType::kResultDone);
+  close(fd);
+}
+
+TEST_F(ServerTest, NowRelativeWindowMatchesEmbeddedAtEveryChunkSize) {
+  for (const size_t frame_bytes :
+       {size_t{512}, ServerOptions().max_rows_frame_bytes}) {
+    if (server_ != nullptr) {
+      server_->Shutdown();
+      server_.reset();
+    }
+    ServerOptions options;
+    options.max_rows_frame_bytes = frame_bytes;
+    StartServer(options);
+    LoadWindowTable(db_.get());
+    ASSERT_TRUE(db_->Execute("SET NOW '1999-11-15'").ok());
+    Result<engine::ResultSet> embedded = db_->Execute(kWindow);
+    ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
+    ASSERT_EQ(embedded->row_count(), static_cast<size_t>(kWindowRows));
+
+    std::unique_ptr<RemoteConnection> conn = Connect();
+    ASSERT_NE(conn, nullptr);
+    ASSERT_TRUE(conn->SetNow(*Chronon::Parse("1999-11-15")).ok());
+    client::ResultSet remote = Exec(conn.get(), kWindow);
+    EXPECT_EQ(RowTexts(remote.raw(), conn->types()),
+              RowTexts(*embedded, db_->types()))
+        << "max_rows_frame_bytes " << frame_bytes;
+  }
 }
 
 // ---- Idle, cancel, disconnect ----------------------------------------------

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
 #include "server/server.h"
@@ -69,15 +69,15 @@ Fixture StartFixture(bool exclusive_gate) {
   return f;
 }
 
-std::unique_ptr<client::RemoteConnection> Connect(const Fixture& f) {
+std::unique_ptr<client::Connection> Connect(const Fixture& f) {
   return bench::CheckResult(
-      client::RemoteConnection::Connect("127.0.0.1", f.srv->port()),
+      client::Connection::Connect("127.0.0.1", f.srv->port()),
       "connect");
 }
 
 /// One browse transaction: BEGIN; kSelectsPerTxn point reads with think
 /// time between them; COMMIT.
-void BrowseOnce(client::RemoteConnection* conn, int seed) {
+void BrowseOnce(client::Connection* conn, int seed) {
   bench::Check(conn->Begin(), "begin");
   for (int s = 0; s < kSelectsPerTxn; ++s) {
     const std::string sql = "SELECT bal FROM acct WHERE id = " +
@@ -91,7 +91,7 @@ void BrowseOnce(client::RemoteConnection* conn, int seed) {
 /// Aggregate browse throughput (transactions/sec) for `sessions`
 /// concurrent client threads, `txns` browse transactions each.
 double BrowseTps(const Fixture& f, int sessions, int txns) {
-  std::vector<std::unique_ptr<client::RemoteConnection>> conns;
+  std::vector<std::unique_ptr<client::Connection>> conns;
   for (int i = 0; i < sessions; ++i) conns.push_back(Connect(f));
   std::atomic<bool> go{false};
   std::vector<std::thread> threads;
@@ -123,7 +123,7 @@ struct MixPoint {
 MixPoint WriterMix(const Fixture& f, int writers, int txns) {
   const int total = 8;
   const int readers = total - writers;
-  std::vector<std::unique_ptr<client::RemoteConnection>> conns;
+  std::vector<std::unique_ptr<client::Connection>> conns;
   for (int i = 0; i < total; ++i) conns.push_back(Connect(f));
   std::atomic<bool> go{false};
   std::atomic<long> writer_ops{0};
@@ -138,7 +138,7 @@ MixPoint WriterMix(const Fixture& f, int writers, int txns) {
   std::atomic<bool> readers_done{false};
   for (int w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
-      client::RemoteConnection* conn = conns[readers + w].get();
+      client::Connection* conn = conns[readers + w].get();
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; !readers_done.load(std::memory_order_acquire); ++i) {
         (void)bench::CheckResult(
@@ -168,7 +168,7 @@ MixPoint WriterMix(const Fixture& f, int writers, int txns) {
 /// Median per-statement latency (us) of an uncontended single-session
 /// point SELECT — the no-regression guard for the gate rework.
 double SingleSessionUs(const Fixture& f, int iterations) {
-  std::unique_ptr<client::RemoteConnection> conn = Connect(f);
+  std::unique_ptr<client::Connection> conn = Connect(f);
   const double ms = bench::MedianTimeMs([&] {
     for (int i = 0; i < iterations; ++i) {
       (void)bench::CheckResult(

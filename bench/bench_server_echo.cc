@@ -1,12 +1,13 @@
 // EXP-SERVER-ECHO: what does the wire cost per statement? (DESIGN.md
-// section 12). One in-process Server on loopback, one RemoteConnection,
-// and the same tiny statements executed embedded and remotely:
+// section 12). One in-process Server on loopback, one client
+// connection to it, and the same tiny statements executed embedded and
+// remotely:
 //
 //   embedded   Database::Execute in-process — the floor;
-//   remote     RemoteConnection::Execute — frame build + CRC + TCP
+//   remote     Connection::Execute over tipd — frame build + CRC + TCP
 //              round-trip + result decode on top of the same engine
 //              work;
-//   prepared   RemoteStatement::Execute — the remote
+//   prepared   Statement::Execute over tipd — the remote
 //              prepare-once-bind-many loop.
 //
 // The per-statement delta (remote_us - embedded_us) is the protocol
@@ -40,7 +41,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "common/rng.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
@@ -105,11 +106,11 @@ WindowRow MeasureWindows(engine::Database* db, server::Server* srv) {
 
   const char* sql =
       "SELECT patient, drug, valid FROM rx WHERE overlaps(valid, :w)";
-  std::unique_ptr<client::RemoteConnection> remote = bench::CheckResult(
-      client::RemoteConnection::Connect("127.0.0.1", srv->port()),
+  std::unique_ptr<client::Connection> remote = bench::CheckResult(
+      client::Connection::Connect("127.0.0.1", srv->port()),
       "connect");
   bench::Check(remote->SetNow(now), "remote SET NOW");
-  client::RemoteStatement stmt = remote->Prepare(sql);
+  client::Statement stmt = remote->Prepare(sql);
   bench::Check(stmt.status(), "remote prepare");
   const std::shared_ptr<const engine::PreparedPlan> plan =
       bench::CheckResult(db->Prepare(sql), "prepare");
@@ -158,10 +159,10 @@ WindowRow MeasureWindows(engine::Database* db, server::Server* srv) {
 /// each running `per_session` point SELECTs; median of three passes,
 /// like every other regime here.
 double MultiSessionUs(server::Server* srv, int sessions, int per_session) {
-  std::vector<std::unique_ptr<client::RemoteConnection>> conns;
+  std::vector<std::unique_ptr<client::Connection>> conns;
   for (int i = 0; i < sessions; ++i) {
     conns.push_back(bench::CheckResult(
-        client::RemoteConnection::Connect("127.0.0.1", srv->port()),
+        client::Connection::Connect("127.0.0.1", srv->port()),
         "connect"));
   }
   const double ms = bench::MedianTimeMs([&] {
@@ -202,8 +203,8 @@ int main(int argc, char** argv) {
   server::ServerOptions options;
   std::unique_ptr<server::Server> srv =
       bench::CheckResult(server::Server::Start(db.get(), options), "start");
-  std::unique_ptr<client::RemoteConnection> remote = bench::CheckResult(
-      client::RemoteConnection::Connect("127.0.0.1", srv->port()),
+  std::unique_ptr<client::Connection> remote = bench::CheckResult(
+      client::Connection::Connect("127.0.0.1", srv->port()),
       "connect");
 
   bench::MustExec(db.get(), "CREATE TABLE acct (id INT, bal INT)");
@@ -295,7 +296,7 @@ int main(int argc, char** argv) {
 
     // Remote prepared: parse/plan once server-side, bind per call.
     int64_t prepared_sum = 0;
-    client::RemoteStatement stmt = remote->Prepare(exp.sql);
+    client::Statement stmt = remote->Prepare(exp.sql);
     bench::Check(stmt.status(), "remote prepare");
     const double prepared_ms = bench::MedianTimeMs([&] {
       prepared_sum = 0;

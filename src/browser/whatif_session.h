@@ -23,7 +23,8 @@ namespace tip::browser {
 /// latest slider position.
 ///
 /// Evaluations run on a background thread; Begin/Wait themselves must
-/// be called from one thread (the UI loop).
+/// be called from one thread (the UI loop). The session works on either
+/// client transport: an embedded engine or a session on `tipd`.
 class WhatIfSession {
  public:
   /// `sql` is the browse query, `temporal_column` the attribute that
@@ -42,7 +43,8 @@ class WhatIfSession {
   /// Starts evaluating the browse query with NOW overridden to `now`
   /// (nullopt restores the wall clock). A previous evaluation still
   /// running is cancelled and its result discarded — cancel on window
-  /// move. Returns immediately.
+  /// move. Returns immediately; if the connection refuses the NOW
+  /// move, Wait returns that error.
   void Begin(std::optional<Chronon> now);
 
   /// Blocks until the most recent Begin completes and returns its view.
@@ -59,6 +61,9 @@ class WhatIfSession {
   /// Cancels the running evaluation (if any) and joins the worker.
   /// Returns true when an evaluation was actually abandoned.
   bool CancelInFlight();
+  /// One evaluation, on the worker thread: the browse query and the
+  /// view over its rows, inside one transaction.
+  Result<TimelineView> Evaluate();
 
   client::Connection* conn_;
   std::string sql_;

@@ -47,13 +47,14 @@ tip_connection* tip_open_dir(const char* dir);
 tip_connection* tip_open_dir_recovery(const char* dir, const char* mode);
 
 /* Connects to a running `tipd` at host:port over the TIP wire protocol.
- * The returned connection has the same API surface as an embedded one —
- * every tip_* call below works unchanged — but statements execute in
- * the server process and the session is subject to its admission
- * control, per-session guardrails, and idle/drain policies. NOW
- * overrides and guardrail settings are scoped to this session. Returns
- * NULL on failure (connection refused, handshake error, or an explicit
- * server rejection such as "server at capacity"). */
+ * The returned connection is the same kind of handle as an embedded
+ * one, and every tip_* call below behaves the same on it, but
+ * statements execute in the server process and the session is subject
+ * to its admission control, per-session guardrails, and idle/drain
+ * policies. NOW overrides and guardrail settings are scoped to this
+ * session. Returns NULL on failure (connection refused, handshake
+ * error, or an explicit server rejection such as "server at
+ * capacity"). */
 tip_connection* tip_connect(const char* host, int port);
 void tip_close(tip_connection* conn);
 
@@ -61,16 +62,19 @@ void tip_close(tip_connection* conn);
  * pointer stays valid until the next call on the connection. */
 const char* tip_last_error(const tip_connection* conn);
 
-/* Overrides / restores the interpretation of NOW (what-if analysis).
- * `chronon_literal` uses the paper's notation, e.g. "1999-11-15". */
+/* Overrides / restores the interpretation of NOW (what-if analysis):
+ * `SET NOW '...'` / `SET NOW DEFAULT`. `chronon_literal` uses the
+ * paper's notation, e.g. "1999-11-15". Refused (-1) while a
+ * transaction is open, since the transaction's NOW is pinned. */
 int tip_set_now(tip_connection* conn, const char* chronon_literal);
 int tip_clear_now(tip_connection* conn);
 
-/* Requests cancellation of every statement currently executing on the
- * connection. Thread-safe: this is the one call that may target a
- * connection from another thread while tip_exec is blocked on it. The
- * interrupted tip_exec fails with a "cancelled" error and leaves the
- * database unchanged. Does not touch last_error itself. */
+/* Requests cancellation of the statement currently executing on the
+ * connection (embedded: every statement running on its database).
+ * Thread-safe: this is the one call that may target a connection from
+ * another thread while tip_exec is blocked on it. The interrupted
+ * tip_exec fails with a "cancelled" error and leaves the database
+ * unchanged. Does not touch last_error itself. */
 int tip_cancel(tip_connection* conn);
 
 /* Statement guardrails for subsequent statements (0 = no limit): a
@@ -81,17 +85,19 @@ int tip_set_timeout_ms(tip_connection* conn, long long ms);
 int tip_set_memory_limit_kb(tip_connection* conn,
                             unsigned long long kb);
 
-/* Durability controls for connections opened with tip_open_dir (they
- * fail on a non-durable connection where noted).
+/* Durability controls for a durable database (tip_open_dir, or a tipd
+ * serving one).
  *
- * tip_set_wal_mode: "off", "async", "group" or "sync" (works on any
- * connection; takes effect once a durable directory is attached). On a
- * durable connection, switching into or out of "off" forces a
- * checkpoint so the log is re-baselined across the unlogged gap; if
- * that checkpoint fails the mode is unchanged and -1 is returned.
- * tip_checkpoint: snapshots the database and truncates the WAL.
- * tip_sync_wal: forces the group-commit tail to disk (no-op when not
- * durable). */
+ * tip_set_wal_mode: `SET wal_mode`, one of "off", "async", "group" or
+ * "sync" (works on any connection; takes effect once a durable
+ * directory is attached). On a durable database, switching into or out
+ * of "off" forces a checkpoint so the log is re-baselined across the
+ * unlogged gap; if that checkpoint fails the mode is unchanged and -1
+ * is returned. Refused (-1) while a transaction is open.
+ * tip_checkpoint: `SELECT tip_checkpoint()`, snapshots the database and
+ * truncates the WAL.
+ * tip_sync_wal: `SELECT tip_sync_wal()`, forces the group-commit tail
+ * to disk (no-op when not durable). */
 int tip_set_wal_mode(tip_connection* conn, const char* mode);
 int tip_checkpoint(tip_connection* conn);
 int tip_sync_wal(tip_connection* conn);
@@ -103,14 +109,15 @@ int tip_sync_wal(tip_connection* conn);
  * describing the damaged objects otherwise. */
 int tip_verify(tip_connection* conn);
 
-/* Transaction control, equivalent to executing BEGIN / COMMIT /
- * ROLLBACK. Statements between tip_begin and tip_commit evaluate under
- * one pinned NOW and are atomic: tip_rollback — or a fatal statement
- * error, or a crash before tip_commit reaches disk — restores the
- * pre-begin state exactly. Auto-commit remains the default. DDL,
- * tip_set_wal_mode and tip_checkpoint are refused while a transaction
- * is open. tip_in_transaction returns 1 between begin and
- * commit/rollback, else 0 (-1 on a null connection). */
+/* Transaction control: executes BEGIN / COMMIT / ROLLBACK. Statements
+ * between tip_begin and tip_commit evaluate under one pinned NOW and
+ * are atomic: tip_rollback — or a fatal statement error, or a crash
+ * before tip_commit reaches disk — restores the pre-begin state
+ * exactly. Auto-commit remains the default. DDL, tip_set_now,
+ * tip_clear_now, tip_set_wal_mode and tip_checkpoint are refused while
+ * a transaction is open, on either kind of connection.
+ * tip_in_transaction returns 1 between begin and commit/rollback, else
+ * 0 (-1 on a null connection). */
 int tip_begin(tip_connection* conn);
 int tip_commit(tip_connection* conn);
 int tip_rollback(tip_connection* conn);
@@ -124,8 +131,9 @@ int tip_exec(tip_connection* conn, const char* sql, tip_result** out);
 /* Prepared statements: parse/plan once, execute many. tip_prepare
  * parses `sql` eagerly — a malformed statement fails here (see
  * tip_last_error) with *out set to NULL — and the handle reuses one
- * engine plan across executions; tip_stmt_bind_* rebind the `:name`
- * host parameters between executions without replanning. A statement
+ * plan across executions (embedded, the engine's; over tipd, the
+ * server's plan cache); tip_stmt_bind_* rebind the `:name` host
+ * parameters between executions without replanning. A statement
  * handle belongs to the connection that prepared it and must be closed
  * before that connection. */
 int tip_prepare(tip_connection* conn, const char* sql, tip_stmt** out);

@@ -1,6 +1,7 @@
 #ifndef TIP_CLIENT_CONNECTION_H_
 #define TIP_CLIENT_CONNECTION_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,11 +18,24 @@ class Statement;
 class ResultSet;
 
 /// A client connection to a TIP-enabled database — the C++ analogue of
-/// the paper's TIP C/Java client libraries over ODBC/JDBC. The
-/// connection owns (or attaches to) an embedded engine instance with
-/// the TIP DataBlade installed, exposes statement preparation with
-/// `:name` parameter binding, and carries the session's NOW override
-/// (the Browser's what-if mechanism).
+/// the paper's TIP C/Java client libraries over ODBC/JDBC. One class
+/// serves two transports, chosen when the connection is made:
+///  - an embedded engine with the TIP DataBlade installed (Open,
+///    OpenDurable, Attach);
+///  - a session on a remote `tipd` over the TIP wire protocol (Connect).
+///
+/// Every verb with a SQL form (transactions, SET NOW, the guardrails,
+/// the durability controls) runs as that statement on either
+/// transport, so the two behave alike. Only four things go through the
+/// transport: running a statement, Prepare, Cancel, and reading the
+/// transaction flag and NOW override.
+///
+/// Over tipd, values cross the wire in binary, addressed by type name.
+/// The connection keeps a tiny engine with the DataBlade installed (no
+/// tables) purely as a type registry, so TIP types arrive as native C++
+/// objects exactly as they do embedded ("customized type mapping", a la
+/// JDBC 2.0). A wire failure is fail-stop: the connection is dead
+/// afterwards and every later call fails.
 class Connection {
  public:
   /// Opens a fresh embedded database with the TIP DataBlade installed.
@@ -43,6 +57,12 @@ class Connection {
   /// the DataBlade is not installed.
   static Result<std::unique_ptr<Connection>> Attach(engine::Database* db);
 
+  /// Connects to a running `tipd` at host:port. NOW overrides and the
+  /// guardrails are then scoped to this server session.
+  static Result<std::unique_ptr<Connection>> Connect(
+      const std::string& host, int port, int connect_timeout_ms = 5000);
+
+  ~Connection();
   Connection(const Connection&) = delete;
   Connection& operator=(const Connection&) = delete;
 
@@ -52,88 +72,105 @@ class Connection {
   /// Prepares a statement for (repeated) parameterized execution. The
   /// SQL is parsed (and validated) here, once: a syntax error is
   /// reported by the returned handle's status() — and again by its
-  /// Execute — rather than deferred to the first execution, and
-  /// repeated Execute calls reuse the engine's cached plan, rebinding
-  /// parameters without replanning.
+  /// Execute — rather than deferred to the first execution. Embedded,
+  /// repeated Execute calls reuse the engine's plan, rebinding
+  /// parameters without replanning; over tipd the server plans it into
+  /// its plan cache, and each Execute sends the SQL and the bindings.
   Statement Prepare(std::string_view sql);
 
-  /// Transaction control, the client face of BEGIN/COMMIT/ROLLBACK.
-  /// Statements between Begin and Commit share one pinned NOW and are
-  /// atomic: Rollback (or a fatal statement error, or a crash before
-  /// Commit) restores the pre-Begin state exactly. Auto-commit remains
-  /// the default — statements outside a transaction behave as before.
+  /// Transaction control: BEGIN / COMMIT / ROLLBACK. Statements between
+  /// Begin and Commit share one pinned NOW and are atomic: Rollback (or
+  /// a fatal statement error, or a crash before Commit) restores the
+  /// pre-Begin state exactly. Auto-commit remains the default.
   Status Begin();
   Status Commit();
   Status Rollback();
   bool in_transaction() const;
 
-  /// Overrides the interpretation of NOW for subsequent statements on
-  /// this connection; what-if analysis per the TIP Browser.
-  void SetNow(Chronon now);
-  /// Restores the system clock as NOW.
-  void ClearNow();
+  /// `SET NOW '<now>'` / `SET NOW DEFAULT`: overrides the
+  /// interpretation of NOW for this session's later statements, the
+  /// Browser's what-if mechanism. Refused inside a transaction, whose
+  /// NOW is pinned.
+  Status SetNow(Chronon now);
+  Status ClearNow();
   std::optional<Chronon> now_override() const;
 
-  /// Requests cancellation of every statement currently executing on
-  /// this connection's database. This is the one Connection entry point
-  /// that is safe to call from another thread while Execute is blocked;
-  /// the interrupted statement fails with Status::Cancelled and leaves
-  /// tables, indexes and session state untouched.
-  void Cancel();
+  /// Requests cancellation of the statement running on this connection.
+  /// This is the one entry point that is safe to call from another
+  /// thread while Execute is blocked; the interrupted statement fails
+  /// with Status::Cancelled and leaves tables, indexes and session
+  /// state untouched. Embedded, it cancels every statement running on
+  /// the database; over tipd it dials a fresh connection that presents
+  /// this session's cancel key, since the session's own socket is busy.
+  Status Cancel();
 
-  /// Statement guardrails applied to subsequent statements (0 = no
-  /// limit): wall-clock timeout and approximate memory budget. The
-  /// equivalents of `SET statement_timeout_ms` / `SET memory_limit_kb`.
-  void SetStatementTimeoutMs(int64_t ms);
-  void SetMemoryLimitKb(size_t kb);
+  /// Statement guardrails for later statements (0 = no limit):
+  /// `SET statement_timeout_ms` and `SET memory_limit_kb`.
+  Status SetStatementTimeoutMs(int64_t ms);
+  Status SetMemoryLimitKb(size_t kb);
 
-  /// Durability controls (no-ops / errors unless opened via
-  /// OpenDurable). SetWalMode is `SET wal_mode` — on a durable
-  /// connection a transition into or out of `off` forces a checkpoint
-  /// to re-baseline the log, and fails without changing the mode if
-  /// the checkpoint fails; Checkpoint snapshots the database and
-  /// truncates the WAL; SyncWal forces the group-commit tail to disk.
+  /// Durability controls, as SQL: SetWalMode is `SET wal_mode` — a
+  /// transition into or out of `off` on a durable database forces a
+  /// checkpoint, and fails without changing the mode if the checkpoint
+  /// fails; it is refused inside a transaction. Checkpoint is
+  /// `SELECT tip_checkpoint()` (snapshot, then truncate the WAL) and
+  /// SyncWal is `SELECT tip_sync_wal()` (force the group-commit tail to
+  /// disk).
   Status SetWalMode(engine::WalMode mode);
   Status Checkpoint();
   Status SyncWal();
 
+  /// Wire session accessors. Embedded they answer trivially: Ping is
+  /// OK, the ids are 0 and the connection is always alive.
+  Status Ping();
+  uint64_t session_id() const;
+  uint64_t cancel_key() const;
+  /// False once a wire failure has fail-stopped the connection.
+  bool alive() const;
+
   /// The engine type ids of the five TIP types (customized type
   /// mapping, a la JDBC 2.0).
   const datablade::TipTypes& tip_types() const { return types_; }
+  /// The type registry results are decoded against and formatted by.
+  const engine::TypeRegistry& types() const { return *registry_; }
 
-  engine::Database& database() { return *db_; }
+  /// The embedded engine, for in-process callers (tests, benches). A
+  /// tipd connection has no database in this process; calling this on
+  /// one aborts rather than hand out its type registry.
+  engine::Database& database();
 
  private:
-  Connection(engine::Database* db, std::unique_ptr<engine::Database> owned,
-             datablade::TipTypes types)
-      : owned_(std::move(owned)), db_(db), types_(types) {}
+  friend class Statement;
+  /// A tipd session: the socket, the handshake's identity and what the
+  /// last frame said. Defined in connection.cc.
+  struct Wire;
 
-  std::unique_ptr<engine::Database> owned_;  // null when attached
+  Connection(std::unique_ptr<engine::Database> owned, engine::Database* db,
+             datablade::TipTypes types, std::unique_ptr<Wire> wire);
+
+  /// Runs one statement: on the engine, or as a kExec round trip that
+  /// carries the SQL and `params` (null = no bindings).
+  Result<ResultSet> Run(std::string_view sql, const engine::Params* params);
+  /// Runs a statement for its effect.
+  Status Command(std::string_view sql);
+
+  /// Embedded: the database when this connection opened it. Over tipd:
+  /// the type registry. Null when attached.
+  std::unique_ptr<engine::Database> owned_;
+  /// The engine statements run on; null over tipd.
   engine::Database* db_;
+  const engine::TypeRegistry* registry_;
   datablade::TipTypes types_;
+  /// The tipd session; null when embedded.
+  std::unique_ptr<Wire> wire_;
 };
 
 /// A prepared statement with named-parameter binding. Bind* calls are
-/// chainable; Execute may be called repeatedly (rebinding in between)
-/// and reuses one engine plan across executions — parse once, plan
-/// once, execute many.
+/// chainable; Execute may be called repeatedly (rebinding in between).
 class Statement {
  public:
-  /// Unvalidated handle (legacy path): parses lazily on Execute.
-  /// Connection::Prepare constructs the validated, plan-backed form.
-  Statement(Connection* connection, std::string sql)
-      : connection_(connection), sql_(std::move(sql)) {}
-  Statement(Connection* connection, std::string sql,
-            std::shared_ptr<const engine::PreparedPlan> plan)
-      : connection_(connection), sql_(std::move(sql)),
-        plan_(std::move(plan)) {}
-  Statement(Connection* connection, std::string sql, Status prepare_error)
-      : connection_(connection), sql_(std::move(sql)),
-        prepare_status_(std::move(prepare_error)) {}
-
   /// The outcome of preparation: a parse error surfaces here without
-  /// executing anything. Always OK for handles built by the legacy
-  /// constructor.
+  /// executing anything.
   const Status& status() const { return prepare_status_; }
 
   Statement& BindInt(std::string_view name, int64_t value);
@@ -156,9 +193,17 @@ class Statement {
   Result<ResultSet> Execute();
 
  private:
+  friend class Connection;
+  Statement(Connection* connection, std::string sql,
+            std::shared_ptr<const engine::PreparedPlan> plan,
+            Status prepare_status)
+      : connection_(connection), sql_(std::move(sql)),
+        plan_(std::move(plan)), prepare_status_(std::move(prepare_status)) {}
+
   Connection* connection_;
   std::string sql_;
-  /// The shared engine plan (null on the legacy lazy path).
+  /// The engine's shared plan; null over tipd, where Execute sends the
+  /// SQL and the bindings.
   std::shared_ptr<const engine::PreparedPlan> plan_;
   Status prepare_status_;
   engine::Params params_;
@@ -182,6 +227,10 @@ class ResultSet {
   }
   engine::TypeId column_type(size_t col) const {
     return result_.columns[col].type;
+  }
+  /// The registered name of the column's type ("int", "element", ...).
+  const std::string& column_type_name(size_t col) const {
+    return registry_->Get(column_type(col)).name;
   }
   /// Case-insensitive lookup; -1 on miss.
   int FindColumn(std::string_view name) const {

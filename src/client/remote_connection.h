@@ -1,158 +1,17 @@
 #ifndef TIP_CLIENT_REMOTE_CONNECTION_H_
 #define TIP_CLIENT_REMOTE_CONNECTION_H_
 
-#include <memory>
-#include <optional>
-#include <string>
-#include <string_view>
+// client::Connection and client::Statement serve tipd as well as the
+// embedded engine. These two names stay only because the benchmark in
+// tipbench/ still spells them; they go with its next change, and
+// nothing else may use them.
 
 #include "client/connection.h"
-#include "common/status.h"
-#include "core/chronon.h"
-#include "datablade/datablade.h"
-#include "engine/database.h"
-#include "server/wire.h"
 
 namespace tip::client {
 
-class RemoteStatement;
-
-/// A connection to a remote `tipd` over the TIP wire protocol —
-/// the network twin of `Connection`, with the same surface (Execute /
-/// Prepare / Begin / SetNow / guardrails / durability controls) so
-/// embedded call sites port by swapping the open call. Differences,
-/// all forced by the wire:
-///  - methods that are infallible in-process return Status here;
-///  - Cancel() dials a fresh connection carrying this session's
-///    cancel key (the statement being cancelled has our socket busy);
-///  - a wire failure is fail-stop: the connection is dead afterwards
-///    and every later call returns the original failure's code.
-///
-/// Values cross the wire in binary, addressed by type name; the client
-/// owns a tiny embedded engine purely as a type registry (DataBlade
-/// installed, no tables), so TIP types round-trip as native C++
-/// objects exactly like the embedded client's "customized type
-/// mapping".
-class RemoteConnection {
- public:
-  static Result<std::unique_ptr<RemoteConnection>> Connect(
-      const std::string& host, int port, int connect_timeout_ms = 5000);
-
-  ~RemoteConnection();
-  RemoteConnection(const RemoteConnection&) = delete;
-  RemoteConnection& operator=(const RemoteConnection&) = delete;
-
-  Result<ResultSet> Execute(std::string_view sql);
-  Result<ResultSet> Execute(std::string_view sql,
-                            const engine::Params& params);
-
-  /// Eager server-side validation: the SQL is parsed (and planned, via
-  /// the server's plan cache) before the handle returns; a bad
-  /// statement surfaces in the handle's status(). Executions send the
-  /// SQL + bindings; the server's plan cache keeps it parse-once.
-  RemoteStatement Prepare(std::string_view sql);
-
-  Status Begin();
-  Status Commit();
-  Status Rollback();
-  bool in_transaction() const { return in_txn_; }
-
-  /// Session NOW override, round-tripped as `SET NOW` so it lives in
-  /// the server's per-session state.
-  Status SetNow(Chronon now);
-  Status ClearNow();
-  std::optional<Chronon> now_override() const { return now_; }
-
-  /// Cancels the statement this session is currently running, from any
-  /// thread: dials a new connection and presents the session id +
-  /// cancel key from the handshake.
-  Status Cancel();
-
-  /// Per-session guardrails (`SET statement_timeout_ms` etc. on the
-  /// server, scoped to this session).
-  Status SetStatementTimeoutMs(int64_t ms);
-  Status SetMemoryLimitKb(size_t kb);
-
-  /// Durability controls, forwarded as SQL.
-  Status SetWalMode(engine::WalMode mode);
-  Status Checkpoint();
-  Status SyncWal();
-
-  /// Liveness probe (kPing round trip).
-  Status Ping();
-
-  const datablade::TipTypes& tip_types() const { return types_; }
-  /// The client-side type registry results are decoded against; result
-  /// handles that outlive statements format values through it.
-  const engine::TypeRegistry& types() const { return type_db_->types(); }
-  uint64_t session_id() const { return session_id_; }
-  uint64_t cancel_key() const { return cancel_key_; }
-  /// False once any wire failure has fail-stopped this connection.
-  bool alive() const { return fd_ >= 0; }
-
- private:
-  RemoteConnection(std::string host, int port, int fd,
-                   std::unique_ptr<engine::Database> type_db,
-                   datablade::TipTypes types);
-
-  /// Sends one request frame and decodes the response stream
-  /// (ResultHeader + row chunks + Done, or Error). Any wire-level
-  /// failure closes the connection.
-  Result<ResultSet> RoundTrip(server::wire::FrameType type,
-                              std::string_view payload);
-  /// Executes `sql` for its side effect, discarding rows.
-  Status Run(std::string_view sql);
-  void CloseSocket();
-
-  const std::string host_;
-  const int port_;
-  int fd_ = -1;
-  uint64_t session_id_ = 0;
-  uint64_t cancel_key_ = 0;
-  bool in_txn_ = false;
-  std::optional<Chronon> now_;
-  /// Per-poll deadline on writes and mid-frame reads; result waits are
-  /// unbounded (the server's ExecGuard bounds statement time).
-  int io_timeout_ms_ = 10000;
-
-  /// Local registry-only engine: resolves wire type names and
-  /// deserializes binary values.
-  std::unique_ptr<engine::Database> type_db_;
-  datablade::TipTypes types_;
-};
-
-/// The remote analogue of `Statement`: named-parameter binding over the
-/// wire. Bind* calls are chainable; Execute may be called repeatedly.
-class RemoteStatement {
- public:
-  RemoteStatement(RemoteConnection* connection, std::string sql,
-                  Status prepare_status)
-      : connection_(connection), sql_(std::move(sql)),
-        prepare_status_(std::move(prepare_status)) {}
-
-  const Status& status() const { return prepare_status_; }
-
-  RemoteStatement& BindInt(std::string_view name, int64_t value);
-  RemoteStatement& BindDouble(std::string_view name, double value);
-  RemoteStatement& BindBool(std::string_view name, bool value);
-  RemoteStatement& BindString(std::string_view name, std::string value);
-  RemoteStatement& BindNull(std::string_view name);
-  RemoteStatement& BindChronon(std::string_view name, const Chronon& value);
-  RemoteStatement& BindSpan(std::string_view name, const Span& value);
-  RemoteStatement& BindInstant(std::string_view name, const Instant& value);
-  RemoteStatement& BindPeriod(std::string_view name, const Period& value);
-  RemoteStatement& BindElement(std::string_view name, const Element& value);
-  RemoteStatement& BindDatum(std::string_view name, engine::Datum value);
-  RemoteStatement& ClearBindings();
-
-  Result<ResultSet> Execute();
-
- private:
-  RemoteConnection* connection_;
-  std::string sql_;
-  Status prepare_status_;
-  engine::Params params_;
-};
+using RemoteConnection = Connection;
+using RemoteStatement = Statement;
 
 }  // namespace tip::client
 

@@ -657,8 +657,8 @@ Status RegisterDurability(Database* db) {
             static_cast<int64_t>(db->durability_stats().checkpoints));
       }))));
 
-  // tip_sync_wal() forces the WAL to stable storage. Remote sessions
-  // need it because RemoteConnection has no direct Database handle.
+  // tip_sync_wal() forces the WAL to stable storage: the SQL form of
+  // client::Connection::SyncWal on either transport.
   TIP_RETURN_IF_ERROR(reg.Register(SerialOnly(MakeRoutine(
       "tip_sync_wal", {}, TypeId::kInt,
       [db](DatumRefs, EvalContext&) -> Result<Datum> {

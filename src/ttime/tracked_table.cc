@@ -11,6 +11,14 @@ std::string AndWhere(std::string_view base, std::string_view extra) {
   return std::string(base) + " AND (" + std::string(extra) + ")";
 }
 
+/// The NOW the connection's statements evaluate under: its open
+/// transaction's pin, else its NOW override, else the clock.
+Result<Chronon> TransactionTime(client::Connection* conn) {
+  TIP_ASSIGN_OR_RETURN(client::ResultSet now,
+                       conn->Execute("SELECT transaction_time()"));
+  return now.GetChronon(0, 0);
+}
+
 }  // namespace
 
 std::string TrackedTable::CurrentPredicate() {
@@ -40,22 +48,23 @@ Result<TrackedTable> TrackedTable::Create(client::Connection* conn,
 
 Result<TrackedTable> TrackedTable::Attach(client::Connection* conn,
                                           std::string_view name) {
-  TIP_ASSIGN_OR_RETURN(engine::Table * table,
-                       conn->database().catalog().GetTable(name));
-  if (table->FindColumn("tt_start") < 0 || table->FindColumn("tt_end") < 0) {
+  // A zero-row SELECT's header lists the table's columns.
+  TIP_ASSIGN_OR_RETURN(
+      client::ResultSet header,
+      conn->Execute("SELECT * FROM " + std::string(name) + " WHERE 1 = 0"));
+  if (header.FindColumn("tt_start") < 0 || header.FindColumn("tt_end") < 0) {
     return Status::InvalidArgument("table '" + std::string(name) +
                                    "' is not transaction-time tracked");
   }
   std::vector<std::string> user_columns;
-  for (const engine::Column& col : table->columns()) {
-    if (col.name != "tt_start" && col.name != "tt_end") {
-      user_columns.push_back(col.name);
-    }
+  for (size_t i = 0; i < header.column_count(); ++i) {
+    const std::string& col = header.column_name(i);
+    if (col != "tt_start" && col != "tt_end") user_columns.push_back(col);
   }
   if (user_columns.empty()) {
     return Status::InvalidArgument("tracked table needs user columns");
   }
-  return TrackedTable(conn, table->name(), std::move(user_columns));
+  return TrackedTable(conn, std::string(name), std::move(user_columns));
 }
 
 Status TrackedTable::Insert(std::string_view values_sql) {
@@ -72,7 +81,7 @@ Status TrackedTable::Insert(std::string_view values_sql) {
 Result<int64_t> TrackedTable::Update(
     const std::vector<Assignment>& assignments,
     std::string_view where_sql) {
-  const Chronon tx = conn_->database().CurrentTx().now;
+  TIP_ASSIGN_OR_RETURN(const Chronon tx, TransactionTime(conn_));
   // Closed versions end one chronon before the new assertion so an
   // AS OF at the update instant sees exactly the new version. A version
   // asserted and superseded within the same chronon collapses to a
@@ -113,8 +122,8 @@ Result<int64_t> TrackedTable::Update(
     insert_sql += ":c" + std::to_string(i) + ", ";
   }
   insert_sql += ":tt, 'NOW')";
+  client::Statement insert_stmt = conn_->Prepare(insert_sql);
   for (size_t r = 0; r < new_versions.row_count(); ++r) {
-    client::Statement insert_stmt = conn_->Prepare(insert_sql);
     for (size_t c = 0; c < user_columns_.size(); ++c) {
       insert_stmt.BindDatum("c" + std::to_string(c),
                             new_versions.raw().rows[r][c]);
@@ -128,7 +137,7 @@ Result<int64_t> TrackedTable::Update(
 }
 
 Result<int64_t> TrackedTable::Delete(std::string_view where_sql) {
-  const Chronon tx = conn_->database().CurrentTx().now;
+  TIP_ASSIGN_OR_RETURN(const Chronon tx, TransactionTime(conn_));
   TIP_ASSIGN_OR_RETURN(Chronon close, tx.Subtract(Span::FromSeconds(1)));
   client::Statement close_stmt = conn_->Prepare(
       "UPDATE " + name_ + " SET tt_end = CASE WHEN tt_start > :close "

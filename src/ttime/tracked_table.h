@@ -28,7 +28,9 @@ namespace tip::ttime {
 /// Writes never destroy history: Update and Delete close the current
 /// versions (grounding their tt_end at the transaction time) and, for
 /// Update, insert the new versions. Combined with a `valid Element`
-/// user column, a tracked table is a bitemporal table.
+/// user column, a tracked table is a bitemporal table. Everything is
+/// plain SQL through the connection, so a tracked table works on either
+/// client transport: an embedded engine or a session on `tipd`.
 class TrackedTable {
  public:
   /// Creates `name` with `column_defs` (e.g. "patient CHAR(20), valid

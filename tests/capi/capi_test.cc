@@ -5,18 +5,23 @@
 #include <memory>
 #include <string>
 
-#include "datablade/datablade.h"
-#include "engine/database.h"
-#include "server/server.h"
+#include "testing/transports.h"
 
 namespace {
 
+using tip::transports::Transport;
+using tip::transports::TransportHarness;
+
 /// The C client library, exercised from gtest. Handles must behave like
-/// C handles: NULL-safe, owning their strings, no exceptions.
+/// C handles: NULL-safe, owning their strings, no exceptions. Each
+/// shared case runs on an embedded handle (CApiTest.*) and on
+/// tip_connect to an in-process tipd over loopback (CApiRemoteTest.*).
 class CApiTest : public ::testing::Test {
  protected:
+  virtual Transport transport() const { return Transport::kEmbedded; }
+
   void SetUp() override {
-    conn_ = tip_open();
+    conn_ = Open(&harness_, "");
     ASSERT_NE(conn_, nullptr);
     ASSERT_EQ(tip_set_now(conn_, "1999-11-15"), 0);
     Must("CREATE TABLE t (name CHAR(8), n INT, x DOUBLE, v Element)");
@@ -26,14 +31,44 @@ class CApiTest : public ::testing::Test {
 
   void TearDown() override { tip_close(conn_); }
 
+  /// A handle on the fixture's transport to a database that is durable
+  /// in `dir`, or memory-only when `dir` is empty: tip_open or
+  /// tip_open_dir embedded, else tip_connect to a tipd that `harness`
+  /// starts over such a database.
+  tip_connection* Open(TransportHarness* harness, const std::string& dir) {
+    if (transport() == Transport::kEmbedded) {
+      return dir.empty() ? tip_open() : tip_open_dir(dir.c_str());
+    }
+    tip::Status started = harness->Start(Transport::kTipd, dir);
+    EXPECT_TRUE(started.ok()) << started.ToString();
+    return started.ok() ? tip_connect("127.0.0.1", harness->port())
+                        : nullptr;
+  }
+
   void Must(const char* sql) {
     ASSERT_EQ(tip_exec(conn_, sql, nullptr), 0) << tip_last_error(conn_);
   }
 
+  // The cases both transports run (CAPI_TEST).
+  void QueryAndMetadata();
+  void ErrorsAreReported();
+  void NowOverrideChangesAnswers();
+  void DmlReportsAffectedRows();
+  void TransactionsCommitAndRollBack();
+  void SessionSetsAreRefusedInsideATransaction();
+  void PreparedStatementsBindAndExecute();
+  void PrepareReportsSyntaxErrorsEagerly();
+  void NullSafety();
+
+  TransportHarness harness_;
   tip_connection* conn_ = nullptr;
 };
 
-TEST_F(CApiTest, QueryAndMetadata) {
+using CApiRemoteTest = tip::transports::OverTipd<CApiTest>;
+
+#define CAPI_TEST(Name) TIP_TRANSPORT_TEST(CApiTest, CApiRemoteTest, Name)
+
+CAPI_TEST(QueryAndMetadata) {
   tip_result* result = nullptr;
   ASSERT_EQ(tip_exec(conn_, "SELECT name, n, x, v FROM t ORDER BY name",
                      &result),
@@ -56,7 +91,7 @@ TEST_F(CApiTest, QueryAndMetadata) {
   tip_result_free(result);
 }
 
-TEST_F(CApiTest, ErrorsAreReported) {
+CAPI_TEST(ErrorsAreReported) {
   tip_result* result = reinterpret_cast<tip_result*>(0x1);
   EXPECT_EQ(tip_exec(conn_, "SELECT nosuch FROM t", &result), -1);
   EXPECT_EQ(result, nullptr);  // out param reset on failure
@@ -70,7 +105,7 @@ TEST_F(CApiTest, ErrorsAreReported) {
             std::string::npos);
 }
 
-TEST_F(CApiTest, NowOverrideChangesAnswers) {
+CAPI_TEST(NowOverrideChangesAnswers) {
   tip_result* result = nullptr;
   ASSERT_EQ(tip_exec(conn_,
                      "SELECT length(v) / '1'::Span FROM t "
@@ -90,7 +125,7 @@ TEST_F(CApiTest, NowOverrideChangesAnswers) {
   EXPECT_EQ(tip_clear_now(conn_), 0);
 }
 
-TEST_F(CApiTest, DmlReportsAffectedRows) {
+CAPI_TEST(DmlReportsAffectedRows) {
   tip_result* result = nullptr;
   ASSERT_EQ(tip_exec(conn_, "UPDATE t SET n = 9", &result), 0);
   EXPECT_EQ(tip_result_affected_rows(result), 2);
@@ -98,7 +133,7 @@ TEST_F(CApiTest, DmlReportsAffectedRows) {
   tip_result_free(result);
 }
 
-TEST_F(CApiTest, TransactionsCommitAndRollBack) {
+CAPI_TEST(TransactionsCommitAndRollBack) {
   EXPECT_EQ(tip_in_transaction(conn_), 0);
   ASSERT_EQ(tip_begin(conn_), 0) << tip_last_error(conn_);
   EXPECT_EQ(tip_in_transaction(conn_), 1);
@@ -132,7 +167,40 @@ TEST_F(CApiTest, TransactionsCommitAndRollBack) {
   EXPECT_EQ(tip_in_transaction(nullptr), -1);
 }
 
-TEST_F(CApiTest, PreparedStatementsBindAndExecute) {
+CAPI_TEST(SessionSetsAreRefusedInsideATransaction) {
+  // A transaction pins NOW and brackets its WAL records under one mode,
+  // so the session SETs that would move either are refused until it
+  // ends, on a durable database behind either kind of handle.
+  tip::transports::ScratchDir dir;
+  TransportHarness durable;
+  tip_connection* conn = Open(&durable, dir.path());
+  ASSERT_NE(conn, nullptr);
+  ASSERT_EQ(tip_begin(conn), 0) << tip_last_error(conn);
+  EXPECT_EQ(tip_set_wal_mode(conn, "sync"), -1);
+  EXPECT_NE(std::string(tip_last_error(conn))
+                .find("not allowed inside a transaction"),
+            std::string::npos)
+      << tip_last_error(conn);
+  EXPECT_EQ(tip_set_now(conn, "1999-12-15"), -1);
+  EXPECT_NE(std::string(tip_last_error(conn))
+                .find("not allowed inside a transaction"),
+            std::string::npos)
+      << tip_last_error(conn);
+  EXPECT_EQ(tip_clear_now(conn), -1);
+  EXPECT_EQ(tip_in_transaction(conn), 1);
+  ASSERT_EQ(tip_commit(conn), 0) << tip_last_error(conn);
+
+  tip_result* stats = nullptr;
+  ASSERT_EQ(tip_exec(conn, "SELECT tip_wal_stats()", &stats), 0)
+      << tip_last_error(conn);
+  EXPECT_NE(std::string(tip_result_text(stats, 0, 0)).find("mode=group"),
+            std::string::npos)
+      << tip_result_text(stats, 0, 0);
+  tip_result_free(stats);
+  tip_close(conn);
+}
+
+CAPI_TEST(PreparedStatementsBindAndExecute) {
   tip_stmt* stmt = nullptr;
   ASSERT_EQ(tip_prepare(conn_, "SELECT n, x FROM t WHERE name = :who",
                         &stmt),
@@ -176,7 +244,7 @@ TEST_F(CApiTest, PreparedStatementsBindAndExecute) {
   tip_stmt_close(stmt);
 }
 
-TEST_F(CApiTest, PrepareReportsSyntaxErrorsEagerly) {
+CAPI_TEST(PrepareReportsSyntaxErrorsEagerly) {
   tip_stmt* stmt = reinterpret_cast<tip_stmt*>(0x1);
   EXPECT_EQ(tip_prepare(conn_, "SELEC 1", &stmt), -1);
   EXPECT_EQ(stmt, nullptr);  // out param reset on failure
@@ -192,7 +260,7 @@ TEST_F(CApiTest, PrepareReportsSyntaxErrorsEagerly) {
   tip_stmt_close(nullptr);  // no-op, like free()
 }
 
-TEST_F(CApiTest, NullSafety) {
+CAPI_TEST(NullSafety) {
   EXPECT_EQ(tip_exec(nullptr, "SELECT 1", nullptr), -1);
   EXPECT_EQ(tip_exec(conn_, nullptr, nullptr), -1);
   EXPECT_EQ(tip_set_now(nullptr, "1999-01-01"), -1);
@@ -210,41 +278,10 @@ TEST_F(CApiTest, NullSafety) {
   tip_result_free(result);
 }
 
-/// tip_connect: the same C surface, served by a real tipd over
-/// loopback. One in-process server per fixture; everything below must
-/// behave exactly like the embedded handles above.
-class CApiRemoteTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    db_ = std::make_unique<tip::engine::Database>();
-    ASSERT_TRUE(tip::datablade::Install(db_.get()).ok());
-    tip::Result<std::unique_ptr<tip::server::Server>> started =
-        tip::server::Server::Start(db_.get(), tip::server::ServerOptions());
-    ASSERT_TRUE(started.ok()) << started.status().ToString();
-    server_ = std::move(*started);
-    conn_ = tip_connect("127.0.0.1", server_->port());
-    ASSERT_NE(conn_, nullptr);
-  }
-
-  void TearDown() override {
-    tip_close(conn_);
-    if (server_ != nullptr) server_->Shutdown();
-  }
-
-  void Must(const char* sql) {
-    ASSERT_EQ(tip_exec(conn_, sql, nullptr), 0) << tip_last_error(conn_);
-  }
-
-  std::unique_ptr<tip::engine::Database> db_;
-  std::unique_ptr<tip::server::Server> server_;
-  tip_connection* conn_ = nullptr;
-};
+// Cases only tipd has: they share the fixture above, whose SetUp made
+// table t and set NOW over tip_connect.
 
 TEST_F(CApiRemoteTest, ConnectExecAndMetadataOverTheWire) {
-  Must("CREATE TABLE t (name CHAR(8), n INT, v Element)");
-  Must("INSERT INTO t VALUES ('a', 1, '{[1999-01-01, 1999-06-01]}'), "
-       "('b', NULL, NULL)");
-
   tip_result* result = nullptr;
   ASSERT_EQ(tip_exec(conn_, "SELECT name, n, v FROM t ORDER BY name",
                      &result),
@@ -302,16 +339,16 @@ TEST_F(CApiRemoteTest, SessionStateAndTransactionsOverTheWire) {
   Must("INSERT INTO p VALUES (3, NULL)");
   ASSERT_EQ(tip_commit(conn_), 0);
   tip::Result<tip::engine::ResultSet> embedded =
-      db_->Execute("SELECT count(*) FROM p");
+      harness_.db().Execute("SELECT count(*) FROM p");
   ASSERT_TRUE(embedded.ok());
   EXPECT_EQ(embedded->rows[0][0].int_value(), 2);
 }
 
 TEST_F(CApiRemoteTest, PreparedStatementsBindOverTheWire) {
-  Must("CREATE TABLE t (id INT, who CHAR(8))");
+  Must("CREATE TABLE w (id INT, who CHAR(8))");
 
   tip_stmt* stmt = nullptr;
-  ASSERT_EQ(tip_prepare(conn_, "INSERT INTO t VALUES (:id, :who)", &stmt),
+  ASSERT_EQ(tip_prepare(conn_, "INSERT INTO w VALUES (:id, :who)", &stmt),
             0)
       << tip_last_error(conn_);
   for (int i = 0; i < 3; ++i) {
@@ -322,7 +359,7 @@ TEST_F(CApiRemoteTest, PreparedStatementsBindOverTheWire) {
   }
   tip_stmt_close(stmt);
 
-  ASSERT_EQ(tip_prepare(conn_, "SELECT count(*) FROM t WHERE who = :w",
+  ASSERT_EQ(tip_prepare(conn_, "SELECT count(*) FROM w WHERE who = :w",
                         &stmt),
             0);
   ASSERT_EQ(tip_stmt_bind_text(stmt, "w", "even"), 0);

@@ -2,16 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/transports.h"
+
 namespace tip::client {
 namespace {
 
+using transports::Transport;
+
+/// The client API, run on both transports: ClientTest.* embedded and
+/// ClientOverTipdTest.* through an in-process tipd.
 class ClientTest : public ::testing::Test {
  protected:
+  virtual Transport transport() const { return Transport::kEmbedded; }
+
   void SetUp() override {
-    Result<std::unique_ptr<Connection>> conn = Connection::Open();
+    ASSERT_TRUE(harness_.Start(transport()).ok());
+    Result<std::unique_ptr<Connection>> conn = harness_.Connect();
     ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     conn_ = std::move(*conn);
-    conn_->SetNow(*Chronon::Parse("1999-11-15"));
+    ASSERT_TRUE(conn_->SetNow(*Chronon::Parse("1999-11-15")).ok());
     Must("CREATE TABLE t (name CHAR(10), dob Chronon, valid Element)");
     Must("INSERT INTO t VALUES ('a', '1990-05-01', "
          "'{[1999-01-01, NOW]}')");
@@ -24,16 +33,33 @@ class ClientTest : public ::testing::Test {
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
     return r.ok() ? std::move(*r)
                   : ResultSet(engine::ResultSet{}, conn_->tip_types(),
-                              &conn_->database().types());
+                              &conn_->types());
   }
 
+  // The cases both transports run (CLIENT_TEST).
+  void OpenInstallsDataBlade();
+  void TypedGettersMapTipTypes();
+  void GetTextFormatsAnyCell();
+  void PreparedStatementBindsAllTipTypes();
+  void BindEveryType();
+  void NowOverridePerConnection();
+  void SessionSetsAreRefusedInsideATransaction();
+  void AffectedRowsAndErrors();
+  void ToTableRendersSomething();
+
+  transports::TransportHarness harness_;
   std::unique_ptr<Connection> conn_;
 };
 
-TEST_F(ClientTest, OpenInstallsDataBlade) {
-  EXPECT_TRUE(conn_->database().types().FindByName("element").ok());
+using ClientOverTipdTest = transports::OverTipd<ClientTest>;
+
+#define CLIENT_TEST(Name) \
+  TIP_TRANSPORT_TEST(ClientTest, ClientOverTipdTest, Name)
+
+CLIENT_TEST(OpenInstallsDataBlade) {
+  EXPECT_TRUE(conn_->types().FindByName("element").ok());
   EXPECT_EQ(conn_->tip_types().element,
-            *conn_->database().types().FindByName("element"));
+            *conn_->types().FindByName("element"));
 }
 
 TEST_F(ClientTest, AttachRequiresInstalledBlade) {
@@ -47,7 +73,7 @@ TEST_F(ClientTest, AttachRequiresInstalledBlade) {
   EXPECT_TRUE((*attached)->Execute("SELECT 1").ok());
 }
 
-TEST_F(ClientTest, TypedGettersMapTipTypes) {
+CLIENT_TEST(TypedGettersMapTipTypes) {
   ResultSet r = Must("SELECT name, dob, valid, length(valid) AS len "
                      "FROM t WHERE name = 'a'");
   ASSERT_EQ(r.row_count(), 1u);
@@ -64,13 +90,13 @@ TEST_F(ClientTest, TypedGettersMapTipTypes) {
   EXPECT_EQ(r.FindColumn("nosuch"), -1);
 }
 
-TEST_F(ClientTest, GetTextFormatsAnyCell) {
+CLIENT_TEST(GetTextFormatsAnyCell) {
   ResultSet r = Must("SELECT dob, valid FROM t WHERE name = 'b'");
   EXPECT_EQ(r.GetText(0, 0), "1985-03-02");
   EXPECT_EQ(r.GetText(0, 1), "{[1998-01-01, 1998-06-30]}");
 }
 
-TEST_F(ClientTest, PreparedStatementBindsAllTipTypes) {
+CLIENT_TEST(PreparedStatementBindsAllTipTypes) {
   Statement stmt = conn_->Prepare(
       "SELECT name FROM t WHERE contains(valid, :c) AND dob < :d");
   Result<ResultSet> r = stmt.BindChronon("c", *Chronon::Parse("1999-06-01"))
@@ -89,7 +115,7 @@ TEST_F(ClientTest, PreparedStatementBindsAllTipTypes) {
   EXPECT_EQ(r->GetString(0, 0), "b");
 }
 
-TEST_F(ClientTest, BindEveryType) {
+CLIENT_TEST(BindEveryType) {
   Statement stmt = conn_->Prepare(
       "SELECT :i, :f, :b, :s, :c::char, :sp::char, :in::char, :p::char, "
       ":e::char, :n");
@@ -118,25 +144,53 @@ TEST_F(ClientTest, BindEveryType) {
   EXPECT_TRUE(r->IsNull(0, 9));
 }
 
-TEST_F(ClientTest, NowOverridePerConnection) {
+CLIENT_TEST(NowOverridePerConnection) {
   EXPECT_EQ(conn_->now_override()->ToString(), "1999-11-15");
   ResultSet before = Must("SELECT length(valid) FROM t WHERE name = 'a'");
-  conn_->SetNow(*Chronon::Parse("1999-12-15"));
+  ASSERT_TRUE(conn_->SetNow(*Chronon::Parse("1999-12-15")).ok());
   ResultSet after = Must("SELECT length(valid) FROM t WHERE name = 'a'");
   EXPECT_EQ(after.GetSpan(0, 0).seconds() - before.GetSpan(0, 0).seconds(),
             30 * 86400);
-  conn_->ClearNow();
+  ASSERT_TRUE(conn_->ClearNow().ok());
   EXPECT_FALSE(conn_->now_override().has_value());
 }
 
-TEST_F(ClientTest, AffectedRowsAndErrors) {
+CLIENT_TEST(SessionSetsAreRefusedInsideATransaction) {
+  // A transaction pins NOW and brackets its WAL records under one mode,
+  // so the session SETs that would move either are refused until it
+  // ends, on a durable database behind either transport.
+  transports::ScratchDir dir;
+  transports::TransportHarness durable;
+  ASSERT_TRUE(durable.Start(transport(), dir.path()).ok());
+  Result<std::unique_ptr<Connection>> conn = durable.Connect();
+  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  Connection& c = **conn;
+  ASSERT_TRUE(c.Begin().ok());
+  const Status refusals[] = {c.SetWalMode(engine::WalMode::kSync),
+                             c.SetNow(*Chronon::Parse("1999-12-15")),
+                             c.ClearNow()};
+  for (const Status& refused : refusals) {
+    EXPECT_NE(refused.message().find("not allowed inside a transaction"),
+              std::string::npos)
+        << refused.ToString();
+  }
+  EXPECT_TRUE(c.in_transaction());
+  EXPECT_FALSE(c.now_override().has_value());
+  ASSERT_TRUE(c.Commit().ok());
+  Result<ResultSet> stats = c.Execute("SELECT tip_wal_stats()");
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->GetString(0, 0).find("mode=group"), std::string::npos)
+      << stats->GetString(0, 0);
+}
+
+CLIENT_TEST(AffectedRowsAndErrors) {
   ResultSet dml = Must("UPDATE t SET name = upper(name)");
   EXPECT_EQ(dml.affected_rows(), 2);
   EXPECT_FALSE(conn_->Execute("SELECT nosuch FROM t").ok());
   EXPECT_FALSE(conn_->Prepare("SELECT :unbound").Execute().ok());
 }
 
-TEST_F(ClientTest, ToTableRendersSomething) {
+CLIENT_TEST(ToTableRendersSomething) {
   ResultSet r = Must("SELECT name FROM t ORDER BY name");
   std::string table = r.ToTable();
   EXPECT_NE(table.find("name"), std::string::npos);

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
 #include "server/server.h"
@@ -25,7 +25,7 @@
 namespace tip::server {
 namespace {
 
-using client::RemoteConnection;
+using client::Connection;
 
 int64_t NowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -52,14 +52,14 @@ class ServerConcurrencyTest : public ::testing::Test {
     server_ = std::move(*server);
   }
 
-  std::unique_ptr<RemoteConnection> Connect() {
-    Result<std::unique_ptr<RemoteConnection>> conn =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+  std::unique_ptr<Connection> Connect() {
+    Result<std::unique_ptr<Connection>> conn =
+        Connection::Connect("127.0.0.1", server_->port());
     EXPECT_TRUE(conn.ok()) << conn.status().ToString();
     return conn.ok() ? std::move(*conn) : nullptr;
   }
 
-  static client::ResultSet Exec(RemoteConnection* conn,
+  static client::ResultSet Exec(Connection* conn,
                                 const std::string& sql) {
     Result<client::ResultSet> r = conn->Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
@@ -79,8 +79,8 @@ class ServerConcurrencyTest : public ::testing::Test {
 // under the old exclusive gate the sleeps serialize.
 TEST_F(ServerConcurrencyTest, ConcurrentReadersOverlap) {
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 
@@ -102,8 +102,8 @@ TEST_F(ServerConcurrencyTest, ExclusiveGateOptionForcesSerialization) {
   ServerOptions options;
   options.exclusive_gate = true;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 
@@ -120,8 +120,8 @@ TEST_F(ServerConcurrencyTest, WriterExcludesReaders) {
   ServerOptions options;
   options.lock_wait_ms = 120;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> writer = Connect();
-  std::unique_ptr<RemoteConnection> reader = Connect();
+  std::unique_ptr<Connection> writer = Connect();
+  std::unique_ptr<Connection> reader = Connect();
   ASSERT_NE(writer, nullptr);
   ASSERT_NE(reader, nullptr);
   Exec(writer.get(), "CREATE TABLE t (id INT)");
@@ -149,8 +149,8 @@ TEST_F(ServerConcurrencyTest, ReadOnlyTransactionsOverlap) {
   ServerOptions options;
   options.lock_wait_ms = 120;  // any blocking would surface as busy
   StartServer(options);
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -168,7 +168,7 @@ TEST_F(ServerConcurrencyTest, ReadOnlyTransactionsOverlap) {
 
 TEST_F(ServerConcurrencyTest, TransactionUpgradesAtFirstWrite) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");
 
@@ -190,8 +190,8 @@ TEST_F(ServerConcurrencyTest, TransactionUpgradesAtFirstWrite) {
 // "deadlock" error — and its transaction survives, still readable.
 TEST_F(ServerConcurrencyTest, UpgradeDeadlockRefusedNotDeadlocked) {
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -242,7 +242,7 @@ TEST_F(ServerConcurrencyTest, DistinctNowReadersRaceOneWriter) {
   const std::string dir = ::testing::TempDir() + "/tip_conc_now_race";
   std::filesystem::remove_all(dir);
   StartServer(ServerOptions(), dir);
-  std::unique_ptr<RemoteConnection> admin = Connect();
+  std::unique_ptr<Connection> admin = Connect();
   ASSERT_NE(admin, nullptr);
   Exec(admin.get(), "CREATE TABLE epochs (id INT, valid Element)");
   // Row i is current exactly during year 1990+i.
@@ -261,7 +261,7 @@ TEST_F(ServerConcurrencyTest, DistinctNowReadersRaceOneWriter) {
   readers.reserve(kReaders);
   for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
-      std::unique_ptr<RemoteConnection> conn = Connect();
+      std::unique_ptr<Connection> conn = Connect();
       if (conn == nullptr) {
         failures.fetch_add(1);
         return;
@@ -288,7 +288,7 @@ TEST_F(ServerConcurrencyTest, DistinctNowReadersRaceOneWriter) {
     });
   }
   std::thread writer([&] {
-    std::unique_ptr<RemoteConnection> conn = Connect();
+    std::unique_ptr<Connection> conn = Connect();
     if (conn == nullptr) {
       failures.fetch_add(1);
       return;
@@ -320,7 +320,7 @@ TEST_F(ServerConcurrencyTest, DistinctNowReadersRaceOneWriter) {
 
 TEST_F(ServerConcurrencyTest, GateCountersObservable) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");   // exclusive
   Exec(conn.get(), "INSERT INTO t VALUES (1)");  // exclusive
@@ -354,14 +354,14 @@ TEST_F(ServerConcurrencyTest, GateCountersObservable) {
   const int64_t waited_before =
       Exec(conn.get(), "SELECT tip_server_stats('gate_wait_shared_ms')")
           .GetInt(0, 0);
-  std::vector<std::unique_ptr<RemoteConnection>> readers;
+  std::vector<std::unique_ptr<Connection>> readers;
   for (int i = 0; i < 3; ++i) {
     readers.push_back(Connect());
     ASSERT_NE(readers.back(), nullptr);
   }
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
-  for (const std::unique_ptr<RemoteConnection>& reader : readers) {
+  for (const std::unique_ptr<Connection>& reader : readers) {
     threads.emplace_back([&stop, r = reader.get()] {
       while (!stop.load()) Exec(r, "SELECT count(*) FROM t");
     });

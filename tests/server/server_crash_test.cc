@@ -28,7 +28,7 @@
 #include <thread>
 #include <vector>
 
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "common/fault_injection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
@@ -37,7 +37,7 @@
 namespace tip::server {
 namespace {
 
-using client::RemoteConnection;
+using client::Connection;
 
 struct KillSpec {
   std::string point;  // armed with KillAt; "" = never killed
@@ -128,10 +128,10 @@ class ServerCrashTest : public ::testing::Test {
     int acked = 0;
     bool schema_done = false;
     {
-      Result<std::unique_ptr<RemoteConnection>> conn =
-          RemoteConnection::Connect("127.0.0.1", port);
+      Result<std::unique_ptr<Connection>> conn =
+          Connection::Connect("127.0.0.1", port);
       if (conn.ok()) {
-        RemoteConnection* c = conn->get();
+        Connection* c = conn->get();
         schema_done =
             c->Execute("CREATE TABLE t (id INT, v CHAR(8))").ok();
         for (int b = 0; schema_done && b < kBlocks; ++b) {

@@ -20,7 +20,7 @@
 #include <thread>
 #include <vector>
 
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "common/fault_injection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
@@ -29,7 +29,7 @@
 namespace tip::server {
 namespace {
 
-using client::RemoteConnection;
+using client::Connection;
 
 class ServerFaultTest : public ::testing::Test {
  protected:
@@ -64,14 +64,14 @@ class ServerFaultTest : public ::testing::Test {
     server_ = std::move(*server);
   }
 
-  std::unique_ptr<RemoteConnection> Connect() {
-    Result<std::unique_ptr<RemoteConnection>> conn =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+  std::unique_ptr<Connection> Connect() {
+    Result<std::unique_ptr<Connection>> conn =
+        Connection::Connect("127.0.0.1", server_->port());
     EXPECT_TRUE(conn.ok()) << conn.status().ToString();
     return conn.ok() ? std::move(*conn) : nullptr;
   }
 
-  static client::ResultSet Exec(RemoteConnection* conn,
+  static client::ResultSet Exec(Connection* conn,
                                 const std::string& sql) {
     Result<client::ResultSet> r = conn->Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
@@ -90,8 +90,8 @@ class ServerFaultTest : public ::testing::Test {
     ServerOptions options;
     options.max_sessions = 2;  // A + B; C needs A's slot back
     StartServer(options);
-    std::unique_ptr<RemoteConnection> a = Connect();
-    std::unique_ptr<RemoteConnection> b = Connect();
+    std::unique_ptr<Connection> a = Connect();
+    std::unique_ptr<Connection> b = Connect();
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -132,10 +132,10 @@ class ServerFaultTest : public ::testing::Test {
 
     // A's slot must free: with max_sessions=2 and B still connected, a
     // third client only fits if the victim's slot was released.
-    std::unique_ptr<RemoteConnection> c;
+    std::unique_ptr<Connection> c;
     for (int i = 0; i < 100 && c == nullptr; ++i) {
-      Result<std::unique_ptr<RemoteConnection>> attempt =
-          RemoteConnection::Connect("127.0.0.1", server_->port());
+      Result<std::unique_ptr<Connection>> attempt =
+          Connection::Connect("127.0.0.1", server_->port());
       if (attempt.ok()) {
         c = std::move(*attempt);
       } else {
@@ -171,13 +171,13 @@ TEST_F(ServerFaultTest, FrameCrcFaultIsFailStopPerSession) {
 
 TEST_F(ServerFaultTest, AcceptFaultDropsOnlyTheIncomingConnection) {
   StartServer();
-  std::unique_ptr<RemoteConnection> existing = Connect();
+  std::unique_ptr<Connection> existing = Connect();
   ASSERT_NE(existing, nullptr);
   Exec(existing.get(), "CREATE TABLE t (id INT)");
 
   fault::InjectAt("server.accept", 0);
-  Result<std::unique_ptr<RemoteConnection>> refused =
-      RemoteConnection::Connect("127.0.0.1", server_->port());
+  Result<std::unique_ptr<Connection>> refused =
+      Connection::Connect("127.0.0.1", server_->port());
   EXPECT_FALSE(refused.ok()) << "armed accept admitted a connection";
   fault::ClearAll();
 
@@ -185,7 +185,7 @@ TEST_F(ServerFaultTest, AcceptFaultDropsOnlyTheIncomingConnection) {
   // and the fault was one-shot: the next connect succeeds.
   EXPECT_TRUE(existing->Ping().ok());
   Exec(existing.get(), "INSERT INTO t VALUES (1)");
-  std::unique_ptr<RemoteConnection> next = Connect();
+  std::unique_ptr<Connection> next = Connect();
   ASSERT_NE(next, nullptr);
   EXPECT_EQ(Exec(next.get(), "SELECT count(*) FROM t").GetInt(0, 0), 1);
   EXPECT_GE(db_->server_stats().wire_faults.load(), 1u);
@@ -196,8 +196,8 @@ TEST_F(ServerFaultTest, FaultsCanBeArmedOverTheWire) {
   // server's own sites — the wire-level equivalent of the embedded
   // fault harness. The arming session is its own victim.
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -216,8 +216,8 @@ TEST_F(ServerFaultTest, DrainUnderLoadPreservesAckedWritesAndAbortsSleepers) {
   options.drain_timeout_ms = 300;
   StartServer(options, dir);
 
-  std::unique_ptr<RemoteConnection> writer = Connect();
-  std::unique_ptr<RemoteConnection> sleeper = Connect();
+  std::unique_ptr<Connection> writer = Connect();
+  std::unique_ptr<Connection> sleeper = Connect();
   ASSERT_NE(writer, nullptr);
   ASSERT_NE(sleeper, nullptr);
   Exec(writer.get(), "CREATE TABLE t (id INT)");
@@ -276,7 +276,7 @@ TEST_F(ServerFaultTest, DrainRollsBackAnAbandonedTransaction) {
   options.drain_timeout_ms = 300;
   StartServer(options, dir);
 
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");
   Exec(conn.get(), "INSERT INTO t VALUES (1)");

@@ -16,7 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "common/fault_injection.h"
 #include "datablade/datablade.h"
 #include "engine/database.h"
@@ -25,7 +25,7 @@
 namespace tip::server {
 namespace {
 
-using client::RemoteConnection;
+using client::Connection;
 
 TEST(ServerStressTest, ManySessionsMixedTrafficThenCleanShutdown) {
   fault::ClearAll();
@@ -40,8 +40,8 @@ TEST(ServerStressTest, ManySessionsMixedTrafficThenCleanShutdown) {
   std::unique_ptr<Server> server = std::move(*started);
 
   {
-    Result<std::unique_ptr<RemoteConnection>> setup =
-        RemoteConnection::Connect("127.0.0.1", server->port());
+    Result<std::unique_ptr<Connection>> setup =
+        Connection::Connect("127.0.0.1", server->port());
     ASSERT_TRUE(setup.ok()) << setup.status().ToString();
     ASSERT_TRUE((*setup)
                     ->Execute("CREATE TABLE t (id INT, who INT, "
@@ -57,13 +57,13 @@ TEST(ServerStressTest, ManySessionsMixedTrafficThenCleanShutdown) {
   workers.reserve(kSessions);
   for (int w = 0; w < kSessions; ++w) {
     workers.emplace_back([&, w] {
-      Result<std::unique_ptr<RemoteConnection>> conn =
-          RemoteConnection::Connect("127.0.0.1", server->port());
+      Result<std::unique_ptr<Connection>> conn =
+          Connection::Connect("127.0.0.1", server->port());
       if (!conn.ok()) {
         failures.fetch_add(1);
         return;
       }
-      RemoteConnection* c = conn->get();
+      Connection* c = conn->get();
       // Per-session colour: each worker pins its own NOW and timeout
       // so the settings swap runs on every statement of every session.
       Result<Chronon> now =
@@ -167,8 +167,8 @@ TEST(ServerStressTest, ConnectDisconnectChurn) {
   for (int w = 0; w < 6; ++w) {
     churners.emplace_back([&] {
       for (int i = 0; i < 12; ++i) {
-        Result<std::unique_ptr<RemoteConnection>> conn =
-            RemoteConnection::Connect("127.0.0.1", server->port());
+        Result<std::unique_ptr<Connection>> conn =
+            Connection::Connect("127.0.0.1", server->port());
         if (!conn.ok()) {
           refused.fetch_add(1);
           continue;

@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "client/remote_connection.h"
+#include "client/connection.h"
 #include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "datablade/datablade.h"
@@ -33,8 +33,8 @@
 namespace tip::server {
 namespace {
 
-using client::RemoteConnection;
-using client::RemoteStatement;
+using client::Connection;
+using client::Statement;
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -54,14 +54,14 @@ class ServerTest : public ::testing::Test {
     server_ = std::move(*server);
   }
 
-  std::unique_ptr<RemoteConnection> Connect() {
-    Result<std::unique_ptr<RemoteConnection>> conn =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+  std::unique_ptr<Connection> Connect() {
+    Result<std::unique_ptr<Connection>> conn =
+        Connection::Connect("127.0.0.1", server_->port());
     EXPECT_TRUE(conn.ok()) << conn.status().ToString();
     return conn.ok() ? std::move(*conn) : nullptr;
   }
 
-  static client::ResultSet Exec(RemoteConnection* conn,
+  static client::ResultSet Exec(Connection* conn,
                                 const std::string& sql) {
     Result<client::ResultSet> r = conn->Execute(sql);
     EXPECT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
@@ -78,7 +78,7 @@ class ServerTest : public ::testing::Test {
 
 TEST_F(ServerTest, BasicStatementsRoundTrip) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
 
   Exec(conn.get(), "CREATE TABLE emp (id INT, name CHAR(16), valid Element)");
@@ -105,7 +105,7 @@ TEST_F(ServerTest, BasicStatementsRoundTrip) {
 
 TEST_F(ServerTest, NullsAndAffectedRowsRoundTrip) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT, v CHAR(8))");
   Exec(conn.get(), "INSERT INTO t VALUES (1, NULL)");
@@ -181,11 +181,11 @@ TEST(WireRowImageTest, RowChunksAndParamsCarryTheWalRowImage) {
 
 TEST_F(ServerTest, PreparedStatementBindsOverTheWire) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT, name CHAR(16), seen Chronon)");
 
-  RemoteStatement stmt =
+  Statement stmt =
       conn->Prepare("INSERT INTO t VALUES (:id, :name, :seen)");
   ASSERT_TRUE(stmt.status().ok()) << stmt.status().ToString();
   Result<Chronon> day = Chronon::Parse("1999-11-15");
@@ -209,7 +209,7 @@ TEST_F(ServerTest, PreparedStatementBindsOverTheWire) {
   EXPECT_TRUE(rs.IsNull(2, 2));
 
   // Eager validation: a malformed statement fails at Prepare time.
-  RemoteStatement bad = conn->Prepare("SELEC nothing");
+  Statement bad = conn->Prepare("SELEC nothing");
   EXPECT_FALSE(bad.status().ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kParseError)
       << bad.status().ToString();
@@ -217,7 +217,7 @@ TEST_F(ServerTest, PreparedStatementBindsOverTheWire) {
 
 TEST_F(ServerTest, ErrorsKeepTheirStatusCodes) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
 
   Result<client::ResultSet> syntax = conn->Execute("SELEC 1");
@@ -238,7 +238,7 @@ TEST_F(ServerTest, ErrorsKeepTheirStatusCodes) {
 
 TEST_F(ServerTest, TransactionsSpanStatements) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");
 
@@ -259,8 +259,8 @@ TEST_F(ServerTest, TransactionsSpanStatements) {
 
 TEST_F(ServerTest, NowOverrideIsScopedToTheSession) {
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE p (id INT, valid Element)");
@@ -283,8 +283,8 @@ TEST_F(ServerTest, NowOverrideIsScopedToTheSession) {
 
 TEST_F(ServerTest, StatementTimeoutIsScopedToTheSession) {
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
 
@@ -306,7 +306,7 @@ TEST_F(ServerTest, ServerDefaultTimeoutAppliesToNewSessions) {
   ServerOptions options;
   options.default_statement_timeout_ms = 30;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Result<client::ResultSet> r = conn->Execute("SELECT tip_sleep_ms(2000)");
   ASSERT_FALSE(r.ok());
@@ -324,10 +324,10 @@ TEST_F(ServerTest, FullServerRejectsWithResourceExhausted) {
   options.admission_wait_ms = 100;
   StartServer(options);
 
-  std::unique_ptr<RemoteConnection> first = Connect();
+  std::unique_ptr<Connection> first = Connect();
   ASSERT_NE(first, nullptr);
-  Result<std::unique_ptr<RemoteConnection>> second =
-      RemoteConnection::Connect("127.0.0.1", server_->port());
+  Result<std::unique_ptr<Connection>> second =
+      Connection::Connect("127.0.0.1", server_->port());
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted)
       << second.status().ToString();
@@ -339,14 +339,14 @@ TEST_F(ServerTest, QueuedConnectionIsAdmittedWhenASlotFrees) {
   options.admission_wait_ms = 5000;
   StartServer(options);
 
-  std::unique_ptr<RemoteConnection> first = Connect();
+  std::unique_ptr<Connection> first = Connect();
   ASSERT_NE(first, nullptr);
   Exec(first.get(), "CREATE TABLE t (id INT)");
 
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    Result<std::unique_ptr<RemoteConnection>> conn =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+    Result<std::unique_ptr<Connection>> conn =
+        Connection::Connect("127.0.0.1", server_->port());
     if (conn.ok()) {
       admitted = true;
       (void)(*conn)->Execute("INSERT INTO t VALUES (1)");
@@ -359,7 +359,7 @@ TEST_F(ServerTest, QueuedConnectionIsAdmittedWhenASlotFrees) {
   waiter.join();
   EXPECT_TRUE(admitted);
 
-  std::unique_ptr<RemoteConnection> check = Connect();
+  std::unique_ptr<Connection> check = Connect();
   ASSERT_NE(check, nullptr);
   EXPECT_EQ(Exec(check.get(), "SELECT count(*) FROM t").GetInt(0, 0), 1);
 }
@@ -368,8 +368,8 @@ TEST_F(ServerTest, BusyGateAnswersServerBusy) {
   ServerOptions options;
   options.lock_wait_ms = 50;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -391,7 +391,7 @@ TEST_F(ServerTest, BigResultsStreamInBoundedChunks) {
   ServerOptions options;
   options.max_rows_frame_bytes = 512;  // force many kResultRows frames
   StartServer(options);
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT, pad CHAR(64))");
   ASSERT_TRUE(conn->Begin().ok());
@@ -752,7 +752,7 @@ TEST_F(ServerTest, NowRelativeWindowMatchesEmbeddedAtEveryChunkSize) {
     ASSERT_TRUE(embedded.ok()) << embedded.status().ToString();
     ASSERT_EQ(embedded->row_count(), static_cast<size_t>(kWindowRows));
 
-    std::unique_ptr<RemoteConnection> conn = Connect();
+    std::unique_ptr<Connection> conn = Connect();
     ASSERT_NE(conn, nullptr);
     ASSERT_TRUE(conn->SetNow(*Chronon::Parse("1999-11-15")).ok());
     client::ResultSet remote = Exec(conn.get(), kWindow);
@@ -768,7 +768,7 @@ TEST_F(ServerTest, IdleSessionIsReaped) {
   ServerOptions options;
   options.idle_timeout_ms = 100;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");
   std::this_thread::sleep_for(std::chrono::milliseconds(400));
@@ -781,14 +781,14 @@ TEST_F(ServerTest, IdleSessionIsReaped) {
   EXPECT_FALSE(conn->alive());
   EXPECT_GE(db_->server_stats().idle_timeouts.load(), 1u);
   // The reaped slot is free again.
-  std::unique_ptr<RemoteConnection> again = Connect();
+  std::unique_ptr<Connection> again = Connect();
   ASSERT_NE(again, nullptr);
   EXPECT_TRUE(again->Ping().ok());
 }
 
 TEST_F(ServerTest, RemoteCancelInterruptsARunningStatement) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
 
   std::atomic<bool> done{false};
@@ -815,7 +815,7 @@ TEST_F(ServerTest, RemoteCancelInterruptsARunningStatement) {
 
 TEST_F(ServerTest, CancelWithWrongKeyIsIgnored) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
 
   // A forged cancel (right session, wrong key) must not interrupt.
@@ -838,7 +838,7 @@ TEST_F(ServerTest, AbruptDisconnectRollsBackTheOpenTransaction) {
   options.max_sessions = 1;  // the freed slot is part of the assertion
   StartServer(options);
   {
-    std::unique_ptr<RemoteConnection> conn = Connect();
+    std::unique_ptr<Connection> conn = Connect();
     ASSERT_NE(conn, nullptr);
     Exec(conn.get(), "CREATE TABLE t (id INT)");
     Exec(conn.get(), "INSERT INTO t VALUES (1)");
@@ -848,10 +848,10 @@ TEST_F(ServerTest, AbruptDisconnectRollsBackTheOpenTransaction) {
   }
   // The server must roll the abandoned transaction back and release
   // the (only) session slot.
-  std::unique_ptr<RemoteConnection> conn;
+  std::unique_ptr<Connection> conn;
   for (int i = 0; i < 100 && conn == nullptr; ++i) {
-    Result<std::unique_ptr<RemoteConnection>> attempt =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+    Result<std::unique_ptr<Connection>> attempt =
+        Connection::Connect("127.0.0.1", server_->port());
     if (attempt.ok()) {
       conn = std::move(*attempt);
     } else {
@@ -884,7 +884,7 @@ TEST_F(ServerTest, ProtocolVersionMismatchIsRefused) {
 
 TEST_F(ServerTest, CorruptFrameFailStopsOnlyThatSession) {
   StartServer();
-  std::unique_ptr<RemoteConnection> bystander = Connect();
+  std::unique_ptr<Connection> bystander = Connect();
   ASSERT_NE(bystander, nullptr);
   Exec(bystander.get(), "CREATE TABLE t (id INT)");
 
@@ -926,7 +926,7 @@ TEST_F(ServerTest, SlowHandshakeIsDropped) {
   ASSERT_TRUE(fd.ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   // A well-behaved client still gets in afterwards.
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   EXPECT_TRUE(conn->Ping().ok());
   close(*fd);
@@ -936,8 +936,8 @@ TEST_F(ServerTest, SlowHandshakeIsDropped) {
 
 TEST_F(ServerTest, ServerStatsCountTheTraffic) {
   StartServer();
-  std::unique_ptr<RemoteConnection> a = Connect();
-  std::unique_ptr<RemoteConnection> b = Connect();
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   Exec(a.get(), "CREATE TABLE t (id INT)");
@@ -983,7 +983,7 @@ TEST_F(ServerTest, ServerStatsCountTheTraffic) {
 // InvalidArgument.
 TEST_F(ServerTest, StatsRoutinesAcceptEveryNameTheyPrint) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE rx (patient INT, valid Element)");
   Exec(conn.get(), "INSERT INTO rx VALUES (1, '{[1999-01-01, NOW]}')");
@@ -1064,11 +1064,11 @@ TEST_F(ServerTest, RejectionsShowUpInStats) {
   options.max_sessions = 1;
   options.admission_wait_ms = 50;
   StartServer(options);
-  std::unique_ptr<RemoteConnection> keeper = Connect();
+  std::unique_ptr<Connection> keeper = Connect();
   ASSERT_NE(keeper, nullptr);
   for (int i = 0; i < 3; ++i) {
-    Result<std::unique_ptr<RemoteConnection>> refused =
-        RemoteConnection::Connect("127.0.0.1", server_->port());
+    Result<std::unique_ptr<Connection>> refused =
+        Connection::Connect("127.0.0.1", server_->port());
     EXPECT_FALSE(refused.ok());
   }
   client::ResultSet rejected =
@@ -1080,7 +1080,7 @@ TEST_F(ServerTest, RejectionsShowUpInStats) {
 
 TEST_F(ServerTest, ShutdownDrainsAndCountsIt) {
   StartServer();
-  std::unique_ptr<RemoteConnection> conn = Connect();
+  std::unique_ptr<Connection> conn = Connect();
   ASSERT_NE(conn, nullptr);
   Exec(conn.get(), "CREATE TABLE t (id INT)");
   Exec(conn.get(), "INSERT INTO t VALUES (1)");
@@ -1093,8 +1093,8 @@ TEST_F(ServerTest, ShutdownDrainsAndCountsIt) {
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(direct->rows[0][0].int_value(), 1);
   // New connections are refused after shutdown.
-  Result<std::unique_ptr<RemoteConnection>> late =
-      RemoteConnection::Connect("127.0.0.1", server_->port());
+  Result<std::unique_ptr<Connection>> late =
+      Connection::Connect("127.0.0.1", server_->port());
   EXPECT_FALSE(late.ok());
   server_.reset();
 }

@@ -76,9 +76,13 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
   });
 
   // The writer (this thread, keeping writes single-threaded per the
-  // engine contract) commits, rolls back, trips a timeout inside a
-  // transaction and checkpoints, bumping every counter family the
-  // readers poll.
+  // engine contract) commits, rolls back, trips a statement timeout and
+  // checkpoints, bumping every counter family the readers poll. The
+  // timeout is set on a session of the writer's own: the readers run on
+  // the global session, and a stats read slower than 5 ms must not trip
+  // it.
+  SessionContext sleeper;
+  sleeper.statement_timeout_ms = 5;
   for (int round = 0; round < 40; ++round) {
     ASSERT_TRUE(db->BeginTransaction().ok());
     (void)db->Execute("INSERT INTO t VALUES (" + std::to_string(round) +
@@ -93,9 +97,13 @@ TEST(StatsStressTest, ReadersRaceTransactionsCheckpointsAndCancels) {
       EXPECT_TRUE(checkpointed.ok()) << checkpointed.ToString();
     }
     if (round % 10 == 9) {
-      db->set_statement_timeout_ms(5);
-      (void)db->Execute("SELECT tip_sleep_ms(50)");
-      db->set_statement_timeout_ms(0);
+      // The timeout trips, unless the canceller gets there first.
+      Result<ResultSet> tripped =
+          db->Execute("SELECT tip_sleep_ms(50)", nullptr, &sleeper);
+      EXPECT_TRUE(!tripped.ok() &&
+                  (tripped.status().code() == StatusCode::kDeadlineExceeded ||
+                   tripped.status().code() == StatusCode::kCancelled))
+          << (tripped.ok() ? "OK" : tripped.status().ToString());
     }
   }
 

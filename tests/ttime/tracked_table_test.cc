@@ -2,18 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/transports.h"
+
 namespace tip::ttime {
 namespace {
 
+using transports::Transport;
+
 /// Transaction-time maintenance on top of TIP: versions are never
 /// destroyed, the symbolic NOW marks current versions, and AS OF slices
-/// reconstruct any past state of the table.
+/// reconstruct any past state of the table. TrackedTableTest.* runs
+/// embedded, TrackedTableOverTipdTest.* through an in-process tipd.
 class TrackedTableTest : public ::testing::Test {
  protected:
+  virtual Transport transport() const { return Transport::kEmbedded; }
+
   void SetUp() override {
-    Result<std::unique_ptr<client::Connection>> conn =
-        client::Connection::Open();
-    ASSERT_TRUE(conn.ok());
+    ASSERT_TRUE(harness_.Start(transport()).ok());
+    Result<std::unique_ptr<client::Connection>> conn = harness_.Connect();
+    ASSERT_TRUE(conn.ok()) << conn.status().ToString();
     conn_ = std::move(*conn);
     SetNow("1999-01-01");
     Result<TrackedTable> table = TrackedTable::Create(
@@ -23,7 +30,7 @@ class TrackedTableTest : public ::testing::Test {
   }
 
   void SetNow(const char* when) {
-    conn_->SetNow(*Chronon::Parse(when));
+    ASSERT_TRUE(conn_->SetNow(*Chronon::Parse(when)).ok());
   }
 
   std::string Snapshot(const client::ResultSet& r) {
@@ -38,11 +45,27 @@ class TrackedTableTest : public ::testing::Test {
     return out;
   }
 
+  // The cases both transports run (TRACKED_TEST).
+  void InsertMakesCurrentVersions();
+  void UpdateClosesAndAsserts();
+  void AsOfReconstructsPastStates();
+  void DeleteIsLogical();
+  void BitemporalWithValidElement();
+  void SameChrononChurnStaysConsistent();
+  void AttachValidates();
+  void UpdateWithEmptyWhereTouchesAllCurrent();
+
+  transports::TransportHarness harness_;
   std::unique_ptr<client::Connection> conn_;
   std::unique_ptr<TrackedTable> table_;
 };
 
-TEST_F(TrackedTableTest, InsertMakesCurrentVersions) {
+using TrackedTableOverTipdTest = transports::OverTipd<TrackedTableTest>;
+
+#define TRACKED_TEST(Name) \
+  TIP_TRANSPORT_TEST(TrackedTableTest, TrackedTableOverTipdTest, Name)
+
+TRACKED_TEST(InsertMakesCurrentVersions) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   ASSERT_TRUE(table_->Insert("'grace', 'admiral', 120").ok());
   Result<client::ResultSet> current =
@@ -56,7 +79,7 @@ TEST_F(TrackedTableTest, InsertMakesCurrentVersions) {
   EXPECT_EQ(raw->GetText(0, static_cast<size_t>(tt_end)), "NOW");
 }
 
-TEST_F(TrackedTableTest, UpdateClosesAndAsserts) {
+TRACKED_TEST(UpdateClosesAndAsserts) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   SetNow("1999-06-01");
   Result<int64_t> updated = table_->Update(
@@ -82,7 +105,7 @@ TEST_F(TrackedTableTest, UpdateClosesAndAsserts) {
   EXPECT_EQ(history->GetText(1, 4), "NOW");
 }
 
-TEST_F(TrackedTableTest, AsOfReconstructsPastStates) {
+TRACKED_TEST(AsOfReconstructsPastStates) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   SetNow("1999-06-01");
   ASSERT_TRUE(table_->Update({{"salary", "110"}}, "who = 'ada'").ok());
@@ -113,7 +136,7 @@ TEST_F(TrackedTableTest, AsOfReconstructsPastStates) {
   EXPECT_EQ(early->row_count(), 0u);
 }
 
-TEST_F(TrackedTableTest, DeleteIsLogical) {
+TRACKED_TEST(DeleteIsLogical) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   ASSERT_TRUE(table_->Insert("'grace', 'admiral', 120").ok());
   SetNow("1999-07-01");
@@ -130,7 +153,7 @@ TEST_F(TrackedTableTest, DeleteIsLogical) {
   EXPECT_EQ(before->row_count(), 2u);
 }
 
-TEST_F(TrackedTableTest, BitemporalWithValidElement) {
+TRACKED_TEST(BitemporalWithValidElement) {
   // A tracked table whose user column is a TIP Element: transaction
   // time from the tracker, valid time from TIP — bitemporal data.
   Result<TrackedTable> rx = TrackedTable::Create(
@@ -154,7 +177,7 @@ TEST_F(TrackedTableTest, BitemporalWithValidElement) {
   EXPECT_EQ(believed_now->GetText(0, 0), "{[1999-02-01, 1999-04-01]}");
 }
 
-TEST_F(TrackedTableTest, SameChrononChurnStaysConsistent) {
+TRACKED_TEST(SameChrononChurnStaysConsistent) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   // Update twice without advancing NOW: versions collapse but never
   // invert, and the current state is the latest.
@@ -170,7 +193,7 @@ TEST_F(TrackedTableTest, SameChrononChurnStaysConsistent) {
   EXPECT_EQ(history->row_count(), 3u);
 }
 
-TEST_F(TrackedTableTest, AttachValidates) {
+TRACKED_TEST(AttachValidates) {
   EXPECT_FALSE(TrackedTable::Attach(conn_.get(), "nosuch").ok());
   ASSERT_TRUE(conn_->Execute("CREATE TABLE plain (x INT)").ok());
   EXPECT_FALSE(TrackedTable::Attach(conn_.get(), "plain").ok());
@@ -179,7 +202,7 @@ TEST_F(TrackedTableTest, AttachValidates) {
   EXPECT_EQ(again->name(), "staff");
 }
 
-TEST_F(TrackedTableTest, UpdateWithEmptyWhereTouchesAllCurrent) {
+TRACKED_TEST(UpdateWithEmptyWhereTouchesAllCurrent) {
   ASSERT_TRUE(table_->Insert("'ada', 'engineer', 100").ok());
   ASSERT_TRUE(table_->Insert("'grace', 'admiral', 120").ok());
   SetNow("1999-04-01");

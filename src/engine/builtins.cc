@@ -714,15 +714,11 @@ Status RegisterIntegrity(Database* db) {
         }
         if (db->durable()) {
           ++objects;
-          OfflineVerifyReport wal_report;
-          Status scanned = VerifyWalFile(db->durable_dir() + "/wal.log",
-                                         &wal_report);
-          if (!scanned.ok() || !wal_report.clean()) {
+          const CheckFinding wal = CheckWal(db->durable_dir());
+          if (!wal.ok) {
             ++corruptions;
             if (!bad.empty()) bad += "; ";
-            bad += "wal: " + (scanned.ok()
-                                  ? wal_report.problems.front()
-                                  : std::string(scanned.message()));
+            bad += "wal: " + wal.detail;
           }
         }
         db->RecordScrub(objects, corruptions);

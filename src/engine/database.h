@@ -59,11 +59,11 @@ struct RecoveryReport {
   bool snapshot_loaded = false;  // a checkpoint snapshot was restored
   uint64_t checkpoint_lsn = 1;   // WAL records below this were skipped
   uint64_t wal_records_replayed = 0;
-  bool torn_tail = false;        // the WAL ended mid-append and was truncated
+  bool torn_tail = false;        // the WAL ended mid-append and was cut
   uint64_t torn_bytes_truncated = 0;
   uint64_t txns_replayed = 0;    // committed transaction brackets applied
   /// Records inside uncommitted or aborted brackets, discarded instead
-  /// of applied (the bracket records themselves included).
+  /// of applied (the bracket records themselves not counted).
   uint64_t txn_records_discarded = 0;
   // -- Salvage-mode outcomes (all zero on a strict open) ---------------
   bool salvage = false;               // the open ran in salvage mode
@@ -371,15 +371,18 @@ class Database {
   /// Attaches `dir` as this database's durable home and runs crash
   /// recovery: reads the checkpoint metadata, restores its snapshot and
   /// CREATE FUNCTION statements, replays the write-ahead log past the
-  /// checkpoint LSN (truncating a torn tail first), and warms the
-  /// interval indexes once at the end. Must be called on a database
-  /// with no tables yet (install extensions first, then attach).
-  /// Afterwards every DML/DDL statement is logged before it is
-  /// acknowledged, according to wal_mode().
+  /// checkpoint LSN up to the first record it cannot replay, cuts the
+  /// log there (a torn last frame and an unclosed transaction bracket
+  /// are crash artifacts, cut without error), and warms the interval
+  /// indexes once at the end. Must be called on a database with no
+  /// tables yet (install extensions first, then attach). Afterwards
+  /// every DML/DDL statement is logged before it is acknowledged,
+  /// according to wal_mode().
   ///
   /// `mode` picks the corruption policy: kStrict (default) refuses the
-  /// open on any damage; kSalvage quarantines the tables whose snapshot
-  /// section or replay records are corrupt, records each rejection in
+  /// open on any damage and changes no file; kSalvage quarantines the
+  /// tables whose snapshot section or replay records are corrupt, keeps
+  /// the replayed prefix of a damaged log, records each rejection in
   /// the report's corruption manifest, and recovers everything else.
   /// Damage to the checkpoint metadata itself stays fatal in both modes
   /// (it is tiny and atomically written — damage there is not

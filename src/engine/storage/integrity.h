@@ -55,29 +55,20 @@ struct OfflineVerifyReport {
   bool clean() const { return problems.empty(); }
 };
 
-/// Read-only structural scan of one WAL file: header magic and CRC,
-/// per-frame length and CRC, LSN monotonicity, record-kind range, and
-/// transaction-bracket pairing. Never modifies the file (unlike
-/// Wal::Open, which truncates torn tails), so it is safe both offline
-/// and against the live log of an attached database. A trailing
-/// partial frame is reported as a torn tail, not a problem; damage
-/// anywhere before the tail is a problem. Returns a non-OK status only
-/// for I/O failures reading the file; NotFound when it does not exist.
-Status VerifyWalFile(const std::string& path, OfflineVerifyReport* report);
-
-/// Read-only structural scan of v2 snapshot bytes: magic, table count,
-/// per-section length and CRC-32, and the footer's counts and CRC.
-/// Section *contents* are not decoded (that needs the type registry);
-/// the CRC covers them. `label` names the file in problem lines.
-void VerifySnapshotBytes(std::string_view bytes, const std::string& label,
-                         OfflineVerifyReport* report);
-
 /// Deep-scans a durable directory without attaching it: validates the
 /// CHECKPOINT metadata, the snapshot it points at, and the WAL —
-/// everything recovery would read, checked without side effects.
+/// everything recovery would read, through recovery's own readers
+/// (ScanSnapshot, ScanWal, WalkBrackets) and without side effects, so
+/// a WAL problem is reported exactly when a strict attach would refuse.
 /// Returns a non-OK status only when `dir` cannot be read at all;
 /// corruption goes into the report.
 Status VerifyDurableDir(const std::string& dir, OfflineVerifyReport* report);
+
+/// The WAL leg of CHECK DATABASE and tip_verify(): `dir`/wal.log
+/// checked as VerifyDurableDir checks it, read-only, so it is safe
+/// against the live log of an attached database. A finding for the
+/// object "wal", never an error status.
+CheckFinding CheckWal(const std::string& dir);
 
 }  // namespace tip::engine
 

@@ -30,18 +30,8 @@ Result<Row> ReadRowImage(wire::Reader* reader, const Table& table,
   Row row;
   row.reserve(table.columns().size());
   for (const Column& col : table.columns()) {
-    TIP_ASSIGN_OR_RETURN(uint64_t prefix, reader->Varint());
-    if (prefix == 0) {
-      row.push_back(Datum::NullOf(col.type));
-      continue;
-    }
-    TIP_ASSIGN_OR_RETURN(std::string_view payload,
-                         reader->Bytes(prefix - 1));
-    const TypeOps& ops = types.Get(col.type).ops;
-    Result<Datum> value =
-        ops.deserialize ? ops.deserialize(payload) : ops.parse(payload);
-    if (!value.ok()) return value.status();
-    row.push_back(std::move(*value));
+    TIP_ASSIGN_OR_RETURN(Datum value, DecodeRowField(reader, col.type, types));
+    row.push_back(std::move(value));
   }
   return row;
 }
@@ -170,6 +160,15 @@ void EncodeRowField(const Datum& value, const TypeRegistry& types,
   }
 }
 
+Result<Datum> DecodeRowField(wire::Reader* reader, TypeId type,
+                             const TypeRegistry& types) {
+  TIP_ASSIGN_OR_RETURN(uint64_t prefix, reader->Varint());
+  if (prefix == 0) return Datum::NullOf(type);
+  TIP_ASSIGN_OR_RETURN(std::string_view payload, reader->Bytes(prefix - 1));
+  const TypeOps& ops = types.Get(type).ops;
+  return ops.deserialize ? ops.deserialize(payload) : ops.parse(payload);
+}
+
 std::string EncodeInsertBody(const std::string& table,
                              const std::vector<Row>& rows,
                              const TypeRegistry& types) {
@@ -214,9 +213,9 @@ Status ApplyWalRecord(Database* db, const WalRecord& record) {
     case WalRecordKind::kTxnBegin:
     case WalRecordKind::kTxnCommit:
     case WalRecordKind::kTxnAbort:
-      // Brackets carry no state; the replay loop in AttachDurableDir
-      // consumes them to decide which records to apply. One reaching
-      // this applier means that loop mis-parsed the bracket structure.
+      // Brackets carry no state; WalkBrackets consumes them to decide
+      // which records to apply. One reaching this applier means the
+      // walk mis-parsed the bracket structure.
       return Status::Corruption("transaction bracket record applied as data");
   }
   return Status::Corruption("unknown WAL record kind " +

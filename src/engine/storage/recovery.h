@@ -15,6 +15,9 @@ namespace tip::engine {
 
 class Database;
 class TypeRegistry;
+namespace wire {
+class Reader;
+}  // namespace wire
 
 /// Builders and appliers for the WAL's logical record bodies, plus the
 /// checkpoint metadata file. Kept apart from Wal (which is
@@ -44,6 +47,12 @@ void EncodeRowImage(const Row& row, const TypeRegistry& types,
 /// bound parameters with it too.
 void EncodeRowField(const Datum& value, const TypeRegistry& types,
                     std::string* out);
+
+/// Reads back one field EncodeRowField wrote, as a value of `type`: the
+/// one decoder of the row image, shared by WAL replay and the wire
+/// protocol's parameters and row chunks.
+Result<Datum> DecodeRowField(wire::Reader* reader, TypeId type,
+                             const TypeRegistry& types);
 
 /// kInsert body: table | u64 n | n row images.
 std::string EncodeInsertBody(const std::string& table,

@@ -96,16 +96,6 @@ Status RecvExact(int fd, size_t n, std::string* out, int first_timeout_ms,
   return Status::OK();
 }
 
-Result<engine::Datum> ReadDatumField(ewire::Reader* reader,
-                                     engine::TypeId type,
-                                     const engine::TypeRegistry& types) {
-  TIP_ASSIGN_OR_RETURN(uint64_t prefix, reader->Varint());
-  if (prefix == 0) return engine::Datum::NullOf(type);
-  TIP_ASSIGN_OR_RETURN(std::string_view payload, reader->Bytes(prefix - 1));
-  const engine::TypeOps& ops = types.Get(type).ops;
-  return ops.deserialize ? ops.deserialize(payload) : ops.parse(payload);
-}
-
 // Sanity caps for count fields: a torn count must become a clean
 // Corruption, never a giant allocation.
 constexpr uint64_t kMaxColumns = 1u << 16;
@@ -380,7 +370,7 @@ Result<ExecRequest> ParseExec(std::string_view payload,
     TIP_ASSIGN_OR_RETURN(std::string_view type_name, reader.String());
     TIP_ASSIGN_OR_RETURN(engine::TypeId type, types.FindByName(type_name));
     TIP_ASSIGN_OR_RETURN(engine::Datum value,
-                         ReadDatumField(&reader, type, types));
+                         engine::DecodeRowField(&reader, type, types));
     out.params.emplace(std::string(name), std::move(value));
   }
   if (!reader.AtEnd()) return Status::Corruption("trailing exec bytes");
@@ -505,7 +495,7 @@ Result<std::vector<engine::Row>> ParseRowsChunk(
     row.reserve(columns.size());
     for (const engine::TypeId type : columns) {
       TIP_ASSIGN_OR_RETURN(engine::Datum value,
-                           ReadDatumField(&reader, type, types));
+                           engine::DecodeRowField(&reader, type, types));
       row.push_back(std::move(value));
     }
     rows.push_back(std::move(row));

@@ -14,8 +14,8 @@
 #include "engine/types/type.h"
 
 /// The TIP remote wire protocol: length-prefixed, CRC-framed messages
-/// over TCP, shared by `tipd` (src/server/server.cc) and the thin
-/// client (src/client/remote_connection.cc).
+/// over TCP, shared by `tipd` (src/server/server.cc) and the client's
+/// remote transport (client::Connection, src/client/connection.cc).
 ///
 /// Frame layout (all integers little-endian, like the storage formats):
 ///

@@ -384,10 +384,12 @@ TEST_F(CrashTortureTest, KilledAtEveryArmedPointRecoveryMatchesATracePrefix) {
 // seeded offset in each durable artifact. Every flip in the
 // CRC-guarded metadata (CHECKPOINT, snapshot.<lsn>.tip) must refuse
 // the strict open with Corruption — those files are load-bearing in
-// full. A flip in wal.log may instead be absorbed as a torn tail
-// (recovery truncates at the first bad frame), in which case the
-// recovered state must still equal some prefix of the trace: detected
-// or consistent, never a silently wrong database.
+// full. In wal.log a damaged frame that a whole frame with the next
+// LSN follows is detected, not absorbed; a flip in the last frame, or
+// in a length field, reads as a torn tail instead (recovery cuts the
+// log there), in which case the recovered state must still equal some
+// prefix of the trace: detected or consistent, never a silently wrong
+// database.
 
 TEST_F(CrashTortureTest, SeededByteFlipsAreDetectedOrRecoverAConsistentPrefix) {
   const Workload workload = PlainWorkload();

@@ -2,9 +2,9 @@
 // bit-rotted snapshot section refuses to open in strict mode, while
 // salvage mode quarantines exactly the damaged table, records where
 // the damage sits in the corruption manifest, and recovers everything
-// else. The recovery story the operator follows — inspect tip_health,
-// DROP the lost table, CHECKPOINT — must end in a directory that
-// re-opens strict and clean.
+// else; footer damage costs no table at all. The recovery story the
+// operator follows — inspect tip_health, DROP the lost table,
+// CHECKPOINT — must end in a directory that re-opens strict and clean.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include "engine/catalog/catalog.h"
 #include "engine/database.h"
 #include "engine/storage/recovery.h"
+#include "engine/storage/snapshot.h"
 
 namespace tip::engine {
 namespace {
@@ -240,6 +241,47 @@ TEST_F(SalvageRecoveryTest, SalvageSkipsWalRecordsOfQuarantinedTables) {
                 .rows[0][0]
                 .int_value(),
             6);
+}
+
+TEST_F(SalvageRecoveryTest, FooterDamageLosesNoTable) {
+  // Bits flipped in the low byte of the footer length shorten the
+  // footer so that its own fields run out: every section is intact,
+  // so salvage must recover both tables and only report the footer.
+  for (const int mask : {0x04, 0x08, 0x10}) {
+    SCOPED_TRACE("mask " + std::to_string(mask));
+    const std::string dir = FreshDir("footer_" + std::to_string(mask));
+    const std::string snap = BuildDir(dir);
+    std::string bytes = ReadAll(snap);
+    // The trailer is u64 footer length | 28-byte footer.
+    ASSERT_GT(bytes.size(), 36u);
+    bytes[bytes.size() - 36] ^= static_cast<char>(mask);
+    WriteAll(snap, bytes);
+
+    Database target;
+    ASSERT_TRUE(datablade::Install(&target).ok());
+    SalvageReport salvage;
+    Status salvaged = SalvageSnapshot(&target, bytes, &salvage);
+    ASSERT_TRUE(salvaged.ok()) << salvaged.ToString();
+    EXPECT_EQ(salvage.tables_recovered, 2u);
+    EXPECT_EQ(salvage.tables_skipped, 0u);
+    EXPECT_NE(salvage.detail.find("footer"), std::string::npos)
+        << salvage.detail;
+
+    RecoveryReport report;
+    std::unique_ptr<Database> db =
+        OpenDb(dir, &report, RecoveryMode::kSalvage);
+    EXPECT_EQ(report.tables_quarantined, 0u);
+    ASSERT_EQ(report.manifest.size(), 1u);
+    EXPECT_EQ(report.manifest[0].object, "snapshot");
+    EXPECT_EQ(Exec(db.get(), "SELECT count(*) FROM emp")
+                  .rows[0][0]
+                  .int_value(),
+              3);
+    EXPECT_EQ(Exec(db.get(), "SELECT count(*) FROM dept")
+                  .rows[0][0]
+                  .int_value(),
+              2);
+  }
 }
 
 TEST_F(SalvageRecoveryTest, OfflineVerifyFindsTheRotWithoutAttaching) {

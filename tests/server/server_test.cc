@@ -777,7 +777,9 @@ TEST_F(ServerTest, IdleSessionIsReaped) {
   // The first statement may surface the server's buffered idle-timeout
   // error frame as an ordinary statement error; the next operation hits
   // the closed socket for certain.
-  if (conn->alive()) EXPECT_FALSE(conn->Ping().ok());
+  if (conn->alive()) {
+    EXPECT_FALSE(conn->Ping().ok());
+  }
   EXPECT_FALSE(conn->alive());
   EXPECT_GE(db_->server_stats().idle_timeouts.load(), 1u);
   // The reaped slot is free again.

@@ -431,12 +431,11 @@ int main() {
       decoded = engine::ResultSet();
       decoded.columns = collected.columns;
       for (const std::string& chunk : chunks) {
-        std::vector<engine::Row> rows = bench::CheckResult(
+        bench::Check(
             server::wire::ParseRowsChunk(
                 std::string_view(chunk).substr(server::wire::kFrameHeaderSize),
-                column_types, db.types()),
+                column_types, db.types(), &decoded.rows),
             "decode");
-        for (engine::Row& row : rows) decoded.rows.push_back(std::move(row));
       }
     });
     const double rows = static_cast<double>(decoded.rows.size());

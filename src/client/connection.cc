@@ -15,7 +15,10 @@ namespace wire = tip::server::wire;
 
 struct Connection::Wire {
   Wire(std::string host_name, int port_number, int socket)
-      : host(std::move(host_name)), port(port_number), fd(socket) {}
+      : host(std::move(host_name)),
+        port(port_number),
+        fd(socket),
+        reader(socket) {}
   Wire(const Wire&) = delete;
   Wire& operator=(const Wire&) = delete;
   ~Wire() {
@@ -32,37 +35,51 @@ struct Connection::Wire {
     }
   }
 
-  Status Dead() const {
-    return Status::Internal("connection is closed (previous wire failure)");
-  }
-
-  /// Sends one request frame and reads the single reply frame. Any
-  /// wire-level failure closes the connection.
-  Result<wire::Frame> Exchange(wire::FrameType type,
-                               std::string_view payload, int wait_ms) {
-    if (fd < 0) return Dead();
-    Status sent = wire::WriteFrame(fd, type, payload, io_timeout_ms);
-    if (!sent.ok()) {
-      Close();
-      return sent;
+  /// The one request path: sends a request frame, then hands each reply
+  /// frame to `reply` until it returns true. `first_wait_ms` bounds the
+  /// wait for each reply frame to begin. A kError frame ends the reply:
+  /// its transaction flag is kept and its status returned. A wire
+  /// failure, or a status from `reply` (a frame it does not expect or
+  /// cannot decode), closes the connection: the wire is fail-stop.
+  template <typename OnReply>
+  Status Request(wire::FrameType type, std::string_view payload,
+                 int first_wait_ms, OnReply&& reply) {
+    if (fd < 0) {
+      return Status::Internal("connection is closed (previous wire failure)");
     }
-    Result<wire::Frame> reply = wire::ReadFrame(fd, wait_ms, io_timeout_ms);
-    if (!reply.ok()) Close();
-    return reply;
+    Status failed = wire::WriteFrame(fd, type, payload, io_timeout_ms);
+    while (failed.ok()) {
+      Result<wire::Frame> frame = reader.Next(first_wait_ms, io_timeout_ms);
+      if (!frame.ok()) {
+        failed = frame.status().code() == StatusCode::kNotFound
+                     ? Status::Internal("server closed the connection")
+                     : frame.status();
+        break;
+      }
+      if (frame->type == wire::FrameType::kError) {
+        Result<wire::WireError> error = wire::ParseError(frame->payload);
+        if (!error.ok()) {
+          failed = error.status();
+          break;
+        }
+        in_txn = error->in_txn;
+        return error->status;
+      }
+      Result<bool> done = reply(*frame);
+      if (!done.ok()) {
+        failed = done.status();
+      } else if (*done) {
+        return Status::OK();
+      }
+    }
+    Close();
+    return failed;
   }
-
-  /// Sends one request frame and decodes the response stream
-  /// (ResultHeader + row chunks + Done, or Error) against `registry`.
-  Result<ResultSet> RoundTrip(wire::FrameType type, std::string_view payload,
-                              const datablade::TipTypes& types,
-                              const engine::TypeRegistry& registry);
-
-  /// kPrepare: the server parses and plans the statement.
-  Status Prepare(std::string_view sql);
 
   const std::string host;
   const int port;
   int fd = -1;
+  wire::FrameReader reader;
   uint64_t session_id = 0;
   uint64_t cancel_key = 0;
   /// The transaction flag of the last reply frame.
@@ -73,97 +90,6 @@ struct Connection::Wire {
   /// unbounded (the server's ExecGuard bounds statement time).
   int io_timeout_ms = 10000;
 };
-
-Result<ResultSet> Connection::Wire::RoundTrip(
-    wire::FrameType type, std::string_view payload,
-    const datablade::TipTypes& types, const engine::TypeRegistry& registry) {
-  if (fd < 0) return Dead();
-  Status sent = wire::WriteFrame(fd, type, payload, io_timeout_ms);
-  if (!sent.ok()) {
-    Close();
-    return sent;
-  }
-  engine::ResultSet raw;
-  std::vector<engine::TypeId> column_types;
-  bool have_header = false;
-  for (;;) {
-    Result<wire::Frame> frame = wire::ReadFrame(fd, -1, io_timeout_ms);
-    if (!frame.ok()) {
-      Close();
-      if (wire::IsCleanEof(frame.status())) {
-        return Status::Internal(
-            "server closed the connection mid-statement");
-      }
-      return frame.status();
-    }
-    switch (frame->type) {
-      case wire::FrameType::kError: {
-        TIP_ASSIGN_OR_RETURN(wire::WireError err,
-                             wire::ParseError(frame->payload));
-        in_txn = err.in_txn;
-        return err.status;
-      }
-      case wire::FrameType::kResultHeader: {
-        TIP_ASSIGN_OR_RETURN(wire::ResultHeader header,
-                             wire::ParseResultHeader(frame->payload));
-        in_txn = header.in_txn;
-        TIP_ASSIGN_OR_RETURN(column_types,
-                             wire::ResolveColumnTypes(header, registry));
-        raw.affected_rows = header.affected_rows;
-        raw.message = std::move(header.message);
-        raw.columns.reserve(header.column_names.size());
-        for (size_t i = 0; i < header.column_names.size(); ++i) {
-          raw.columns.push_back(
-              {std::move(header.column_names[i]), column_types[i]});
-        }
-        have_header = true;
-        break;
-      }
-      case wire::FrameType::kResultRows: {
-        if (!have_header) {
-          Close();
-          return Status::Corruption("rows before result header");
-        }
-        TIP_ASSIGN_OR_RETURN(
-            std::vector<engine::Row> rows,
-            wire::ParseRowsChunk(frame->payload, column_types, registry));
-        for (engine::Row& row : rows) raw.rows.push_back(std::move(row));
-        break;
-      }
-      case wire::FrameType::kResultDone:
-        if (!have_header) {
-          Close();
-          return Status::Corruption("done before result header");
-        }
-        return ResultSet(std::move(raw), types, &registry);
-      case wire::FrameType::kPong:
-        break;  // stray liveness reply; ignore
-      default:
-        Close();
-        return Status::Corruption("unexpected frame in result stream");
-    }
-  }
-}
-
-Status Connection::Wire::Prepare(std::string_view sql) {
-  TIP_ASSIGN_OR_RETURN(
-      wire::Frame reply,
-      Exchange(wire::FrameType::kPrepare, wire::BuildPrepare(sql), -1));
-  if (reply.type == wire::FrameType::kError) {
-    Result<wire::WireError> err = wire::ParseError(reply.payload);
-    if (!err.ok()) {
-      Close();
-      return err.status();
-    }
-    in_txn = err->in_txn;
-    return err->status;
-  }
-  if (reply.type != wire::FrameType::kPrepareOk) {
-    Close();
-    return Status::Corruption("unexpected prepare reply");
-  }
-  return Status::OK();
-}
 
 Connection::Connection(std::unique_ptr<engine::Database> owned,
                        engine::Database* db, datablade::TipTypes types,
@@ -221,54 +147,80 @@ Result<std::unique_ptr<Connection>> Connection::Connect(
   TIP_ASSIGN_OR_RETURN(int fd,
                        wire::DialTcp(host, port, connect_timeout_ms));
   auto session = std::make_unique<Wire>(host, port, fd);
-  Status sent = wire::WriteFrame(fd, wire::FrameType::kHello,
-                                 wire::BuildHello(), connect_timeout_ms);
-  if (!sent.ok()) return sent;
   // The admission queue may hold us up to the server's admission_wait
   // before HelloOk (or the explicit rejection) arrives; wait patiently.
-  Result<wire::Frame> reply =
-      wire::ReadFrame(fd, -1, session->io_timeout_ms);
-  if (!reply.ok()) {
-    if (wire::IsCleanEof(reply.status())) {
-      return Status::ResourceExhausted(
-          "server closed the connection during handshake");
-    }
-    return reply.status();
-  }
-  if (reply->type == wire::FrameType::kError) {
-    TIP_ASSIGN_OR_RETURN(wire::WireError err,
-                         wire::ParseError(reply->payload));
-    return err.status;
-  }
-  if (reply->type != wire::FrameType::kHelloOk) {
-    return Status::Corruption("unexpected handshake reply");
-  }
-  TIP_ASSIGN_OR_RETURN(wire::HelloOk hello,
-                       wire::ParseHelloOk(reply->payload));
-  if (hello.protocol_version != wire::kProtocolVersion) {
-    return Status::InvalidArgument(
-        "protocol version mismatch: server speaks " +
-        std::to_string(hello.protocol_version));
-  }
-  session->session_id = hello.session_id;
-  session->cancel_key = hello.cancel_key;
+  TIP_RETURN_IF_ERROR(session->Request(
+      wire::FrameType::kHello, wire::BuildHello(), -1,
+      [&](const wire::Frame& reply) -> Result<bool> {
+        if (reply.type != wire::FrameType::kHelloOk) {
+          return Status::Corruption("unexpected handshake reply");
+        }
+        TIP_ASSIGN_OR_RETURN(wire::HelloOk hello,
+                             wire::ParseHelloOk(reply.payload));
+        if (hello.protocol_version != wire::kProtocolVersion) {
+          return Status::InvalidArgument(
+              "protocol version mismatch: server speaks " +
+              std::to_string(hello.protocol_version));
+        }
+        session->session_id = hello.session_id;
+        session->cancel_key = hello.cancel_key;
+        return true;
+      }));
   return std::unique_ptr<Connection>(
       new Connection(std::move(type_db), nullptr, types, std::move(session)));
 }
 
 Result<ResultSet> Connection::Run(std::string_view sql,
                                   const engine::Params* params) {
-  if (wire_ != nullptr) {
-    static const engine::Params kNoParams;
-    return wire_->RoundTrip(
-        wire::FrameType::kExec,
-        wire::BuildExec(sql, params != nullptr ? *params : kNoParams,
-                        *registry_),
-        types_, *registry_);
+  engine::ResultSet raw;
+  if (wire_ == nullptr) {
+    TIP_ASSIGN_OR_RETURN(raw, db_->Execute(sql, params, nullptr));
+    return ResultSet(std::move(raw), types_, registry_);
   }
-  TIP_ASSIGN_OR_RETURN(engine::ResultSet result,
-                       db_->Execute(sql, params, nullptr));
-  return ResultSet(std::move(result), types_, registry_);
+  // The reply: a header, the row chunks (decoded straight into the
+  // result) and Done.
+  static const engine::Params kNoParams;
+  std::vector<engine::TypeId> column_types;
+  bool have_header = false;
+  TIP_RETURN_IF_ERROR(wire_->Request(
+      wire::FrameType::kExec,
+      wire::BuildExec(sql, params != nullptr ? *params : kNoParams,
+                      *registry_),
+      -1, [&](const wire::Frame& frame) -> Result<bool> {
+        switch (frame.type) {
+          case wire::FrameType::kResultHeader: {
+            TIP_ASSIGN_OR_RETURN(wire::ResultHeader header,
+                                 wire::ParseResultHeader(frame.payload));
+            wire_->in_txn = header.in_txn;
+            TIP_ASSIGN_OR_RETURN(column_types,
+                                 wire::ResolveColumnTypes(header, *registry_));
+            raw.affected_rows = header.affected_rows;
+            raw.message = std::move(header.message);
+            raw.columns.reserve(header.column_names.size());
+            for (size_t i = 0; i < header.column_names.size(); ++i) {
+              raw.columns.push_back(
+                  {std::move(header.column_names[i]), column_types[i]});
+            }
+            have_header = true;
+            return false;
+          }
+          case wire::FrameType::kResultRows:
+            if (!have_header) {
+              return Status::Corruption("rows before result header");
+            }
+            TIP_RETURN_IF_ERROR(wire::ParseRowsChunk(
+                frame.payload, column_types, *registry_, &raw.rows));
+            return false;
+          case wire::FrameType::kResultDone:
+            if (!have_header) {
+              return Status::Corruption("done before result header");
+            }
+            return true;
+          default:
+            return Status::Corruption("unexpected frame in result stream");
+        }
+      }));
+  return ResultSet(std::move(raw), types_, registry_);
 }
 
 Status Connection::Command(std::string_view sql) {
@@ -281,7 +233,15 @@ Result<ResultSet> Connection::Execute(std::string_view sql) {
 
 Statement Connection::Prepare(std::string_view sql) {
   if (wire_ != nullptr) {
-    return Statement(this, std::string(sql), nullptr, wire_->Prepare(sql));
+    return Statement(
+        this, std::string(sql), nullptr,
+        wire_->Request(wire::FrameType::kPrepare, wire::BuildPrepare(sql), -1,
+                       [](const wire::Frame& reply) -> Result<bool> {
+                         if (reply.type == wire::FrameType::kPrepareOk) {
+                           return true;
+                         }
+                         return Status::Corruption("unexpected prepare reply");
+                       }));
   }
   // Parse eagerly: a malformed statement is reported by the handle's
   // status() before anything executes, and a well-formed one shares the
@@ -358,14 +318,11 @@ Status Connection::SyncWal() { return Command("SELECT tip_sync_wal()"); }
 
 Status Connection::Ping() {
   if (wire_ == nullptr) return Status::OK();
-  TIP_ASSIGN_OR_RETURN(wire::Frame reply,
-                       wire_->Exchange(wire::FrameType::kPing, "",
-                                       wire_->io_timeout_ms));
-  if (reply.type != wire::FrameType::kPong) {
-    wire_->Close();
-    return Status::Corruption("unexpected ping reply");
-  }
-  return Status::OK();
+  return wire_->Request(wire::FrameType::kPing, "", wire_->io_timeout_ms,
+                        [](const wire::Frame& reply) -> Result<bool> {
+                          if (reply.type == wire::FrameType::kPong) return true;
+                          return Status::Corruption("unexpected ping reply");
+                        });
 }
 
 uint64_t Connection::session_id() const {

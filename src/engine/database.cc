@@ -212,7 +212,7 @@ Result<ResultSet> Database::Execute(std::string_view sql,
   // parser and SELECTs reuse their planned operator tree.
   if (plan_cache_enabled_) {
     TIP_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedPlan> plan,
-                         Prepare(sql, session));
+                         Prepare(sql));
     return ExecutePrepared(*plan, params, session);
   }
   TIP_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
@@ -222,16 +222,14 @@ Result<ResultSet> Database::Execute(std::string_view sql,
 }
 
 Result<std::shared_ptr<const PreparedPlan>> Database::Prepare(
-    std::string_view sql, SessionContext* session) {
+    std::string_view sql) {
   const bool use_cache = plan_cache_enabled_;
   std::string key;
   if (use_cache) {
-    // The settings fingerprint is part of the text key per the cache
-    // contract; variants re-verify it anyway, so a stale hit after SET
-    // still re-plans rather than misbehaving.
-    key = SettingsFingerprint(session);
-    key += '\n';
-    key += sql;
+    // The text alone is the key: every planned variant is keyed on the
+    // settings fingerprint, so sessions with different settings share
+    // one entry and plan their own variants under it.
+    key = sql;
     if (std::shared_ptr<PreparedPlan> cached = plan_cache_.Lookup(key)) {
       return std::shared_ptr<const PreparedPlan>(std::move(cached));
     }

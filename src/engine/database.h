@@ -202,11 +202,10 @@ class Database {
   /// errors surface here (eagerly), and for SELECTs the planned
   /// operator tree is built lazily on first execution and reused by
   /// every later one. With the plan cache enabled, SELECT handles are
-  /// shared with (and retrieved from) the text-keyed cache, so repeated
-  /// Execute(sql) calls and explicit Prepare users converge on the same
-  /// plan.
-  Result<std::shared_ptr<const PreparedPlan>> Prepare(
-      std::string_view sql, SessionContext* session = nullptr);
+  /// shared with (and retrieved from) the cache, keyed on the text
+  /// alone, so repeated Execute(sql) calls from any session and
+  /// explicit Prepare users converge on the same handle.
+  Result<std::shared_ptr<const PreparedPlan>> Prepare(std::string_view sql);
 
   /// Executes a prepared handle under fresh parameter bindings. SELECTs
   /// reuse the cached operator tree when the catalog version, session
@@ -285,8 +284,9 @@ class Database {
   void set_interval_join_enabled(bool on) { enable_interval_join_ = on; }
   bool interval_join_enabled() const { return enable_interval_join_; }
 
-  /// Degree of parallelism for eligible scans/aggregations/joins
-  /// (SET PARALLEL_WORKERS n). 1 = serial plans only (the default).
+  /// The cap on the workers of eligible scans/aggregations/joins
+  /// (SET PARALLEL_WORKERS n); the default is the core count, and 1
+  /// gives the serial plans.
   void set_parallel_workers(size_t n) { global_session_.parallel_workers = n; }
   size_t parallel_workers() const {
     return global_session_.parallel_workers.load();

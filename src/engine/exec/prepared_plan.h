@@ -114,10 +114,10 @@ class PreparedPlan {
 std::string ParamSignature(
     const std::map<std::string, Datum, std::less<>>* params);
 
-/// Shared LRU cache of PreparedPlans keyed on SQL text + the session
-/// settings fingerprint, so repeated `Database::Execute` calls with the
-/// same text skip the lexer and parser entirely and share planned
-/// variants with explicit Prepare handles.
+/// Shared LRU cache of PreparedPlans keyed on SQL text alone, so
+/// repeated `Database::Execute` calls with the same text skip the lexer
+/// and parser entirely and share planned variants with explicit Prepare
+/// handles. Session settings key the variants, not the entries.
 class PlanCache {
  public:
   std::shared_ptr<PreparedPlan> Lookup(const std::string& key);

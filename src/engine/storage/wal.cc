@@ -22,7 +22,7 @@ constexpr size_t kMagicLen = 8;
 constexpr size_t kHeaderLen = kMagicLen + 8 + 4;  // magic | start_lsn | crc
 constexpr size_t kFrameHeaderLen = 4 + 4;         // length | crc
 // A frame length past this is garbage, not data; treat it like any
-// other broken frame (torn tail), never as an allocation request.
+// other broken frame, never as an allocation request.
 constexpr uint64_t kMaxRecordBytes = 1ull << 30;
 
 std::string BuildHeader(uint64_t start_lsn) {
@@ -48,8 +48,7 @@ bool WriteAll(int fd, std::string_view bytes) {
 
 /// The frame at the front of `rest`, located by its header alone.
 struct Frame {
-  bool whole = false;     // header and declared payload lie in the file
-  bool readable = false;  // whole, CRC held, holds an LSN and a kind
+  bool readable = false;  // in the file, CRC held, has an LSN and a kind
   size_t size = 0;        // header + declared payload
   uint64_t lsn = 0;
   uint8_t kind = 0;
@@ -65,7 +64,6 @@ Frame ReadFrame(std::string_view rest) {
   if (len > kMaxRecordBytes || len > rest.size() - kFrameHeaderLen) {
     return frame;
   }
-  frame.whole = true;
   frame.size = kFrameHeaderLen + len;
   const std::string_view payload = rest.substr(kFrameHeaderLen, len);
   if (len < 8 + 1 || Crc32(payload) != crc) return frame;
@@ -78,15 +76,30 @@ Frame ReadFrame(std::string_view rest) {
 
 enum class FrameClass { kRecord, kTorn, kDamaged };
 
+/// Whether a readable frame carrying `lsn` starts anywhere in `rest`
+/// past its first byte. Found by the LSN at payload offset 0, then
+/// confirmed by that frame's CRC, so a damaged length field in front of
+/// it cannot hide it.
+bool FollowedByFrameFor(std::string_view rest, uint64_t lsn) {
+  char bytes[8];
+  std::memcpy(bytes, &lsn, 8);
+  const std::string_view key(bytes, 8);
+  for (size_t at = rest.find(key, 1 + kFrameHeaderLen);
+       at != std::string_view::npos; at = rest.find(key, at + 1)) {
+    const Frame frame = ReadFrame(rest.substr(at - kFrameHeaderLen));
+    if (frame.readable && frame.lsn == lsn) return true;
+  }
+  return false;
+}
+
 /// The one frame classifier (the rule is ScanWal's): what the frame at
 /// the front of `rest`, which should carry `lsn`, is.
 FrameClass ClassifyFrame(std::string_view rest, uint64_t lsn, Frame* frame,
                          std::string* cause) {
   *frame = ReadFrame(rest);
-  if (!frame->whole) return FrameClass::kTorn;
   if (!frame->readable) {
-    const Frame next = ReadFrame(rest.substr(frame->size));
-    if (!next.readable || next.lsn != lsn + 1) return FrameClass::kTorn;
+    // A process kill can only tear the last frame.
+    if (!FollowedByFrameFor(rest, lsn + 1)) return FrameClass::kTorn;
     *cause = "frame for LSN " + std::to_string(lsn) +
              " fails its checks, yet a whole frame with LSN " +
              std::to_string(lsn + 1) +

@@ -84,11 +84,12 @@ struct WalScan {
 
 /// The one reader of the log format: validates the header, then reads
 /// frames until the first that is not a whole, in-sequence record. A
-/// frame running past the end of the file, or failing its CRC with no
-/// whole frame carrying the next LSN behind it, is a torn tail (a kill
-/// can only tear the last frame; a damaged length field reads the
-/// same). Anything else is damage: a failing frame with such a
-/// successor, or a whole frame with the wrong LSN or an unknown kind.
+/// frame that runs past the end of the file or fails its CRC is a torn
+/// tail when no whole frame carrying the next LSN lies anywhere behind
+/// it (a kill can only tear the last frame). Anything else is damage:
+/// a failing frame with such a successor (found by its LSN, so a
+/// damaged length field cannot hide it), or a whole frame with the
+/// wrong LSN or an unknown kind.
 /// A damaged header is Corruption (it is fsynced once, before use);
 /// NotFound when `path` is absent.
 Result<WalScan> ScanWal(const std::string& path);

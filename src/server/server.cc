@@ -11,12 +11,10 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 #include <random>
 
-#include "common/crc32.h"
 #include "common/fault_injection.h"
-#include "engine/storage/recovery.h"
-#include "engine/storage/wire_format.h"
 
 namespace tip::server {
 
@@ -81,7 +79,7 @@ void Server::AcceptLoop() {
     fds.push_back({wake_pipe_[0], POLLIN, 0});
     fds.push_back({listen_fd_, POLLIN, 0});
     for (const Pending& p : handshaking_) {
-      fds.push_back({p.fd, POLLIN, 0});
+      fds.push_back({p.reader.fd(), POLLIN, 0});
     }
 
     // Poll until the nearest handshake/admission deadline.
@@ -114,105 +112,62 @@ void Server::AcceptLoop() {
 
     // Progress handshakes that have bytes (fds[2+j] maps to the j-th
     // tracked connection; new accepts are added only after this loop).
-    // Reads are strictly non-blocking: a slow client costs nothing but
-    // its own deadline.
-    size_t poll_index = 2;
-    for (auto it = handshaking_.begin(); it != handshaking_.end();
-         ++poll_index) {
-      Pending& p = *it;
-      bool dead = false;
-      bool complete = false;
-      if (fds[poll_index].revents & (POLLIN | POLLHUP | POLLERR)) {
-        for (;;) {
-          char buf[512];
-          const ssize_t n = recv(p.fd, buf, sizeof(buf), 0);
-          if (n > 0) {
-            p.buffer.append(buf, static_cast<size_t>(n));
-            if (p.buffer.size() >
-                wire::kFrameHeaderSize + wire::kMaxFramePayload) {
-              dead = true;
-            }
-            continue;
-          }
-          if (n == 0) dead = true;  // EOF before a full handshake frame
-          break;  // EAGAIN — or EOF/err handled above
-        }
-        if (p.buffer.size() >= wire::kFrameHeaderSize) {
-          uint32_t len;
-          std::memcpy(&len, p.buffer.data(), 4);
-          if (len > wire::kMaxFramePayload) {
-            dead = true;
-          } else if (p.buffer.size() >= wire::kFrameHeaderSize + len) {
-            // A complete frame outranks a trailing EOF: a cancel
-            // client legitimately writes its one frame and hangs up.
-            complete = true;
-            dead = false;
-          }
-        }
+    // Pulls never wait: a slow client costs nothing but its own
+    // deadline.
+    std::deque<Pending> waiting;
+    for (size_t j = 0; j < handshaking_.size(); ++j) {
+      Pending p = std::move(handshaking_[j]);
+      Result<std::optional<wire::Frame>> first = std::optional<wire::Frame>();
+      if (fds[2 + j].revents & (POLLIN | POLLHUP | POLLERR)) {
+        const Status pulled = p.reader.Pull();
+        first = pulled.ok() ? p.reader.Take() : pulled;
       }
-      if (!dead && !complete && NowMs() >= p.deadline_ms) dead = true;
-      if (dead) {
-        close(p.fd);
-        it = handshaking_.erase(it);
+      if (first.ok() && !first->has_value() && NowMs() < p.deadline_ms) {
+        waiting.push_back(std::move(p));
         continue;
       }
-      if (!complete) {
-        ++it;
+      if (!first.ok() || !first->has_value()) {
+        close(p.reader.fd());
         continue;
       }
-      // Full first frame in hand: Hello starts admission, Cancel is
-      // serviced inline (it deliberately consumes no session slot, so
-      // a saturated server can still be cancelled into liveness).
-      // Keep the frame bytes alive past the erase: `payload` views into
-      // this string, and the Pending (and its buffer) dies with the
-      // list node.
-      const std::string frame_bytes = std::move(p.buffer);
-      uint32_t len, crc;
-      std::memcpy(&len, frame_bytes.data(), 4);
-      const uint8_t type = static_cast<uint8_t>(frame_bytes[4]);
-      std::memcpy(&crc, frame_bytes.data() + 5, 4);
-      const std::string_view payload(
-          frame_bytes.data() + wire::kFrameHeaderSize, len);
-      const int fd = p.fd;
-      it = handshaking_.erase(it);
-      if (Crc32(payload) != crc) {
-        close(fd);
-        continue;
-      }
-      if (static_cast<wire::FrameType>(type) == wire::FrameType::kCancel) {
-        Result<wire::CancelRequest> cancel = wire::ParseCancel(payload);
+      // First frame in hand: Hello starts admission, Cancel is serviced
+      // inline (it deliberately consumes no session slot, so a
+      // saturated server can still be cancelled into liveness).
+      const wire::Frame frame = **first;
+      if (frame.type == wire::FrameType::kCancel) {
+        Result<wire::CancelRequest> cancel = wire::ParseCancel(frame.payload);
         if (cancel.ok()) CancelSession(cancel->session_id, cancel->cancel_key);
-        close(fd);
+        close(p.reader.fd());
         continue;
       }
-      if (static_cast<wire::FrameType>(type) != wire::FrameType::kHello) {
-        close(fd);
+      if (frame.type != wire::FrameType::kHello) {
+        close(p.reader.fd());
         continue;
       }
-      Result<uint32_t> version = wire::ParseHello(payload);
+      Result<uint32_t> version = wire::ParseHello(frame.payload);
       if (!version.ok() || *version != wire::kProtocolVersion) {
         RejectConnection(
-            fd, Status::InvalidArgument(
-                    "protocol version mismatch: server speaks " +
-                    std::to_string(wire::kProtocolVersion)));
+            p.reader.fd(),
+            Status::InvalidArgument(
+                "protocol version mismatch: server speaks " +
+                std::to_string(wire::kProtocolVersion)));
         continue;
       }
       if (active_.load(std::memory_order_relaxed) < options_.max_sessions) {
-        Admit(fd);
+        Admit(std::move(p.reader));
       } else if (admission_queue_.size() <
                  static_cast<size_t>(options_.admission_queue_limit)) {
-        Pending queued;
-        queued.fd = fd;
-        queued.hello_done = true;
-        queued.deadline_ms = NowMs() + options_.admission_wait_ms;
-        admission_queue_.push_back(std::move(queued));
+        p.deadline_ms = NowMs() + options_.admission_wait_ms;
+        admission_queue_.push_back(std::move(p));
       } else {
-        RejectConnection(fd, Status::ResourceExhausted(
-                                 "server at capacity (max_sessions=" +
-                                 std::to_string(options_.max_sessions) +
-                                 ", queue full)"));
+        RejectConnection(p.reader.fd(),
+                         Status::ResourceExhausted(
+                             "server at capacity (max_sessions=" +
+                             std::to_string(options_.max_sessions) +
+                             ", queue full)"));
       }
     }
+    handshaking_ = std::move(waiting);
 
     // New connections -> handshake tracking (first polled next round).
     if (fds[1].revents & POLLIN) {
@@ -234,10 +189,8 @@ void Server::AcceptLoop() {
         // Nagle + delayed ACK costs ~40ms per statement round trip.
         const int one = 1;
         setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-        Pending p;
-        p.fd = fd;
-        p.deadline_ms = NowMs() + options_.hello_timeout_ms;
-        handshaking_.push_back(std::move(p));
+        handshaking_.push_back(
+            {wire::FrameReader(fd), NowMs() + options_.hello_timeout_ms});
       }
     }
 
@@ -246,16 +199,16 @@ void Server::AcceptLoop() {
     // refused client always gets an explicit error frame.
     while (!admission_queue_.empty() &&
            active_.load(std::memory_order_relaxed) < options_.max_sessions) {
-      const int fd = admission_queue_.front().fd;
+      Admit(std::move(admission_queue_.front().reader));
       admission_queue_.pop_front();
-      Admit(fd);
     }
     for (auto it = admission_queue_.begin(); it != admission_queue_.end();) {
       if (NowMs() >= it->deadline_ms) {
         RejectConnection(
-            it->fd, Status::ResourceExhausted(
-                        "server at capacity: no session slot within " +
-                        std::to_string(options_.admission_wait_ms) + "ms"));
+            it->reader.fd(),
+            Status::ResourceExhausted(
+                "server at capacity: no session slot within " +
+                std::to_string(options_.admission_wait_ms) + "ms"));
         it = admission_queue_.erase(it);
       } else {
         ++it;
@@ -266,10 +219,10 @@ void Server::AcceptLoop() {
   }
 
   // Draining: refuse everything still at the door, close the listener.
-  for (const Pending& p : handshaking_) close(p.fd);
+  for (const Pending& p : handshaking_) close(p.reader.fd());
   handshaking_.clear();
   for (const Pending& p : admission_queue_) {
-    RejectConnection(p.fd,
+    RejectConnection(p.reader.fd(),
                      Status::ResourceExhausted("server shutting down"));
   }
   admission_queue_.clear();
@@ -287,9 +240,12 @@ void Server::RejectConnection(int fd, const Status& reason) {
   close(fd);
 }
 
-void Server::Admit(int fd) {
-  auto session = std::make_unique<Session>();
-  session->fd = fd;
+void Server::Admit(wire::FrameReader reader) {
+  engine::ServerStatsCounters& stats = db_->server_stats();
+  // The handshake's reads are not counted; what came behind the Hello
+  // is session input.
+  stats.bytes_in.fetch_add(reader.buffered(), std::memory_order_relaxed);
+  auto session = std::make_unique<Session>(std::move(reader));
   session->engine_session.statement_timeout_ms.store(
       options_.default_statement_timeout_ms, std::memory_order_relaxed);
   session->engine_session.memory_limit_kb.store(
@@ -302,7 +258,6 @@ void Server::Admit(int fd) {
   key = (key ^ (key >> 27)) * 0x94D049BB133111EBull;
   session->cancel_key = key ^ (key >> 31);
 
-  engine::ServerStatsCounters& stats = db_->server_stats();
   const int now_active = active_.fetch_add(1, std::memory_order_relaxed) + 1;
   stats.sessions_active.store(static_cast<uint64_t>(now_active),
                               std::memory_order_relaxed);
@@ -507,9 +462,9 @@ Result<wire::Frame> Server::ReadChecked(Session* session,
     db_->server_stats().wire_faults.fetch_add(1, std::memory_order_relaxed);
     return injected;
   }
-  Result<wire::Frame> frame =
-      wire::ReadFrame(session->fd, first_timeout_ms, options_.write_timeout_ms,
-                      &db_->server_stats().bytes_in);
+  Result<wire::Frame> frame = session->reader.Next(
+      first_timeout_ms, options_.write_timeout_ms,
+      &db_->server_stats().bytes_in);
   if (frame.ok()) {
     // A CRC-site fault models a torn frame that passed transport but
     // fails validation — indistinguishable from real bit rot.
@@ -520,8 +475,9 @@ Result<wire::Frame> Server::ReadChecked(Session* session,
     }
     return frame;
   }
-  if (!wire::IsCleanEof(frame.status()) &&
-      !wire::IsIdleTimeout(frame.status())) {
+  // A close between frames and the idle timeout are not wire faults.
+  if (frame.status().code() != StatusCode::kNotFound &&
+      frame.status().code() != StatusCode::kDeadlineExceeded) {
     db_->server_stats().wire_faults.fetch_add(1, std::memory_order_relaxed);
   }
   return frame;
@@ -540,7 +496,7 @@ void Server::SessionLoop(Session* session) {
     for (;;) {
       Result<wire::Frame> frame = ReadChecked(session, idle);
       if (!frame.ok()) {
-        if (wire::IsIdleTimeout(frame.status())) {
+        if (frame.status().code() == StatusCode::kDeadlineExceeded) {
           db_->server_stats().idle_timeouts.fetch_add(
               1, std::memory_order_relaxed);
           session->aborted = true;
@@ -550,7 +506,7 @@ void Server::SessionLoop(Session* session) {
               wire::BuildError(
                   Status::DeadlineExceeded("session idle timeout"),
                   db_->InTransaction(&session->engine_session)));
-        } else if (!wire::IsCleanEof(frame.status())) {
+        } else if (frame.status().code() != StatusCode::kNotFound) {
           session->aborted = true;  // torn frame / injected fault / error
         }
         break;
@@ -603,7 +559,7 @@ bool Server::HandleExec(Session* session, const wire::Frame& frame) {
   // decision needs the statement's class, and parsing serializes on
   // nothing — it must not cost other sessions their overlap.
   Result<std::shared_ptr<const engine::PreparedPlan>> plan =
-      db_->Prepare(request->sql, engine_session);
+      db_->Prepare(request->sql);
   if (!plan.ok()) {
     db_->server_stats().statements_served.fetch_add(
         1, std::memory_order_relaxed);
@@ -653,7 +609,7 @@ bool Server::HandlePrepare(Session* session, const wire::Frame& frame) {
   // Prepare is gate-free: parsing and plan-cache maintenance are
   // internally synchronized and touch no table data.
   Result<std::shared_ptr<const engine::PreparedPlan>> plan =
-      db_->Prepare(*sql, &session->engine_session);
+      db_->Prepare(*sql);
   if (!plan.ok()) {
     return SendError(session, plan.status(),
                      db_->InTransaction(&session->engine_session));

@@ -43,6 +43,12 @@
 /// exclusive_gate` forces every statement exclusive — the PR 9
 /// behavior, kept as the benchmark baseline.
 ///
+/// Each connection reads its frames through one `wire::FrameReader`:
+/// the accept thread pulls the Hello through it without waiting, and
+/// the admitted session takes it over with any bytes sent behind the
+/// Hello. A read that ends NotFound is a clean disconnect, one that
+/// ends DeadlineExceeded the idle timeout, anything else a wire fault.
+///
 /// Robustness properties (enforced, and tested by tests/server/):
 ///  - Admission control: at most `max_sessions` concurrent sessions;
 ///    excess connections queue up to `admission_wait_ms` and are then
@@ -129,9 +135,15 @@ class Server {
   enum class GateMode { kNone, kShared, kExclusive };
 
   struct Session {
+    explicit Session(wire::FrameReader frames)
+        : fd(frames.fd()), reader(std::move(frames)) {}
+
     uint64_t id = 0;
     uint64_t cancel_key = 0;
     int fd = -1;
+    /// The connection's one frame reader, moved in from the handshake
+    /// with any bytes the client sent behind its Hello.
+    wire::FrameReader reader;
     std::thread thread;
     /// The engine-side session state (NOW override, resource budgets,
     /// parallel knobs, transaction pin), threaded through every
@@ -153,10 +165,8 @@ class Server {
   /// A connection between accept() and admission: waiting for its
   /// Hello frame, then possibly queued for a session slot.
   struct Pending {
-    int fd = -1;
+    wire::FrameReader reader;
     int64_t deadline_ms = 0;  // hello or admission deadline
-    bool hello_done = false;
-    std::string buffer;  // partial inbound frame bytes
   };
 
   Server(engine::Database* db, ServerOptions options);
@@ -183,6 +193,8 @@ class Server {
   /// as a frame of `type` and writes it, like WriteChecked.
   Status SendChecked(Session* session, wire::FrameType type,
                      std::string* frame);
+  /// The session's next frame (wire::FrameReader::Next, whose statuses
+  /// it keeps), counting every other failure as a wire fault.
   Result<wire::Frame> ReadChecked(Session* session, int first_timeout_ms);
 
   /// Gate acquire/release (see class comment). Every acquire returns
@@ -200,9 +212,10 @@ class Server {
   /// cancel its active statements.
   void CancelSession(uint64_t session_id, uint64_t cancel_key);
 
-  /// Admits `fd` as a new session (slot already reserved) or hands it
-  /// to the admission queue / rejection path.
-  void Admit(int fd);
+  /// Starts a session on a connection whose Hello was accepted and for
+  /// which a slot is free. Bytes its reader holds behind the Hello are
+  /// the session's first input.
+  void Admit(wire::FrameReader reader);
   void RejectConnection(int fd, const Status& reason);
   /// Session-thread cleanup: rollback if gate owner, close, free slot.
   void FinishSession(Session* session);

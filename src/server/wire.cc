@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -64,38 +65,6 @@ Status PollFor(int fd, short events, int timeout_ms) {
   }
 }
 
-/// Receives exactly `n` bytes into `out`. `first_timeout_ms` applies to
-/// the wait for the first byte, `rest_timeout_ms` to every later poll.
-/// Clean EOF before any byte -> NotFound("connection closed"); EOF
-/// mid-buffer -> Corruption.
-Status RecvExact(int fd, size_t n, std::string* out, int first_timeout_ms,
-                 int rest_timeout_ms, std::atomic<uint64_t>* bytes_counter,
-                 bool* got_any = nullptr) {
-  size_t got = 0;
-  out->resize(n);
-  while (got < n) {
-    if (got_any != nullptr) *got_any = got > 0;
-    TIP_RETURN_IF_ERROR(
-        PollFor(fd, POLLIN, got == 0 ? first_timeout_ms : rest_timeout_ms));
-    const ssize_t rc = recv(fd, out->data() + got, n - got, 0);
-    if (rc > 0) {
-      got += static_cast<size_t>(rc);
-      if (bytes_counter) {
-        bytes_counter->fetch_add(static_cast<uint64_t>(rc),
-                                 std::memory_order_relaxed);
-      }
-      continue;
-    }
-    if (rc == 0) {
-      if (got == 0) return Status::NotFound("connection closed");
-      return Status::Corruption("connection closed mid-frame");
-    }
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return Status::Corruption("recv: " + std::string(std::strerror(errno)));
-  }
-  return Status::OK();
-}
-
 // Sanity caps for count fields: a torn count must become a clean
 // Corruption, never a giant allocation.
 constexpr uint64_t kMaxColumns = 1u << 16;
@@ -106,17 +75,12 @@ constexpr uint64_t kMaxRowsPerChunk = 1u << 24;
 // and the u32 row count.
 constexpr size_t kChunkRowsBegin = kFrameHeaderSize + sizeof(uint32_t);
 
+// The least free space a FrameReader offers each recv: enough for a
+// statement and the frames pipelined behind it. The buffer doubles past
+// this as bigger frames arrive.
+constexpr size_t kMinReadRoom = 16 * 1024;
+
 }  // namespace
-
-bool IsCleanEof(const Status& status) {
-  return status.code() == StatusCode::kNotFound &&
-         status.message() == "connection closed";
-}
-
-bool IsIdleTimeout(const Status& status) {
-  return status.code() == StatusCode::kDeadlineExceeded &&
-         status.message() == "no frame within deadline";
-}
 
 Result<int> DialTcp(const std::string& host, int port, int timeout_ms) {
   struct addrinfo hints;
@@ -279,38 +243,76 @@ Status SendFrame(int fd, std::string_view bytes, int timeout_ms,
   return Status::OK();
 }
 
-Result<Frame> ReadFrame(int fd, int first_byte_timeout_ms,
-                        int body_timeout_ms,
-                        std::atomic<uint64_t>* bytes_counter) {
-  std::string header;
-  bool got_any = false;
-  Status header_read =
-      RecvExact(fd, kFrameHeaderSize, &header, first_byte_timeout_ms,
-                body_timeout_ms, bytes_counter, &got_any);
-  if (!header_read.ok()) {
-    if (header_read.code() == StatusCode::kDeadlineExceeded && !got_any) {
+Status FrameReader::Pull(std::atomic<uint64_t>* bytes_counter) {
+  // Views handed out earlier end here: drop the bytes taken so far,
+  // then make sure there is room for the recv.
+  if (begin_ > 0) {
+    std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (buffer_.size() - end_ < kMinReadRoom) {
+    buffer_.resize(std::max(2 * buffer_.size(), end_ + kMinReadRoom));
+  }
+  ssize_t rc;
+  do {
+    rc = recv(fd_, buffer_.data() + end_, buffer_.size() - end_, 0);
+  } while (rc < 0 && errno == EINTR);
+  if (rc < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
+    return Status::Corruption("recv: " + std::string(std::strerror(errno)));
+  }
+  if (rc == 0) closed_ = true;
+  end_ += static_cast<size_t>(rc);
+  if (bytes_counter) {
+    bytes_counter->fetch_add(static_cast<uint64_t>(rc),
+                             std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
+Result<std::optional<Frame>> FrameReader::Take() {
+  const std::string_view rest(buffer_.data() + begin_, end_ - begin_);
+  if (rest.size() >= kFrameHeaderSize) {
+    ewire::Reader header(rest.substr(0, kFrameHeaderSize));
+    TIP_ASSIGN_OR_RETURN(uint32_t len, header.U32());
+    TIP_ASSIGN_OR_RETURN(uint8_t type, header.U8());
+    TIP_ASSIGN_OR_RETURN(uint32_t crc, header.U32());
+    if (len > kMaxFramePayload) {
+      return Status::Corruption("frame length " + std::to_string(len) +
+                                " exceeds cap");
+    }
+    if (rest.size() - kFrameHeaderSize >= len) {
+      const std::string_view payload = rest.substr(kFrameHeaderSize, len);
+      if (Crc32(payload) != crc) {
+        return Status::Corruption("frame crc mismatch");
+      }
+      begin_ += kFrameHeaderSize + len;
+      return std::optional<Frame>(
+          Frame{static_cast<FrameType>(type), payload});
+    }
+  }
+  if (!closed_) return std::optional<Frame>();
+  if (rest.empty()) return Status::NotFound("connection closed");
+  return Status::Corruption("connection closed mid-frame");
+}
+
+Result<Frame> FrameReader::Next(int first_byte_timeout_ms,
+                                int body_timeout_ms,
+                                std::atomic<uint64_t>* bytes_counter) {
+  for (;;) {
+    TIP_ASSIGN_OR_RETURN(std::optional<Frame> frame, Take());
+    if (frame.has_value()) return *frame;
+    const bool begun = buffered() > 0;
+    const Status ready = PollFor(
+        fd_, POLLIN, begun ? body_timeout_ms : first_byte_timeout_ms);
+    if (ready.code() == StatusCode::kDeadlineExceeded) {
+      if (begun) return Status::Corruption("peer stalled mid-frame");
       return Status::DeadlineExceeded("no frame within deadline");
     }
-    return header_read;
+    TIP_RETURN_IF_ERROR(ready);
+    TIP_RETURN_IF_ERROR(Pull(bytes_counter));
   }
-  ewire::Reader reader(header);
-  TIP_ASSIGN_OR_RETURN(uint32_t len, reader.U32());
-  TIP_ASSIGN_OR_RETURN(uint8_t type, reader.U8());
-  TIP_ASSIGN_OR_RETURN(uint32_t crc, reader.U32());
-  if (len > kMaxFramePayload) {
-    return Status::Corruption("frame length " + std::to_string(len) +
-                              " exceeds cap");
-  }
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
-  if (len > 0) {
-    TIP_RETURN_IF_ERROR(RecvExact(fd, len, &frame.payload, body_timeout_ms,
-                                  body_timeout_ms, bytes_counter));
-  }
-  if (Crc32(frame.payload) != crc) {
-    return Status::Corruption("frame crc mismatch");
-  }
-  return frame;
 }
 
 std::string BuildHello() {
@@ -480,28 +482,29 @@ std::string ResultFrames::Header(bool in_txn) const {
   return out;
 }
 
-Result<std::vector<engine::Row>> ParseRowsChunk(
-    std::string_view payload, const std::vector<engine::TypeId>& columns,
-    const engine::TypeRegistry& types) {
+Status ParseRowsChunk(std::string_view payload,
+                      const std::vector<engine::TypeId>& columns,
+                      const engine::TypeRegistry& types,
+                      std::vector<engine::Row>* rows) {
   ewire::Reader reader(payload);
   TIP_ASSIGN_OR_RETURN(uint32_t nrows, reader.U32());
   if (nrows > kMaxRowsPerChunk) {
     return Status::Corruption("row count exceeds cap");
   }
-  std::vector<engine::Row> rows;
-  rows.reserve(nrows);
+  if (rows->capacity() - rows->size() < nrows) {
+    rows->reserve(std::max(rows->size() + nrows, 2 * rows->capacity()));
+  }
   for (uint32_t i = 0; i < nrows; ++i) {
-    engine::Row row;
+    engine::Row& row = rows->emplace_back();
     row.reserve(columns.size());
     for (const engine::TypeId type : columns) {
       TIP_ASSIGN_OR_RETURN(engine::Datum value,
                            engine::DecodeRowField(&reader, type, types));
       row.push_back(std::move(value));
     }
-    rows.push_back(std::move(row));
   }
   if (!reader.AtEnd()) return Status::Corruption("trailing row bytes");
-  return rows;
+  return Status::OK();
 }
 
 std::string BuildError(const Status& status, bool in_txn) {

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -65,20 +66,12 @@ enum class FrameType : uint8_t {
   kPrepareOk = 22,     // empty; statement parsed and planned
 };
 
+/// A frame handed out by a FrameReader. The payload views the reader's
+/// buffer and stays valid until the reader next reads from its socket.
 struct Frame {
   FrameType type;
-  std::string payload;
+  std::string_view payload;
 };
-
-/// True for the status ReadFrame returns when the peer closed the
-/// connection cleanly at a frame boundary (recv == 0 before any header
-/// byte). Everything else non-OK is a real wire failure.
-bool IsCleanEof(const Status& status);
-
-/// True for the status ReadFrame returns when `first_byte_timeout_ms`
-/// expired with no frame started — the session idle timeout. A
-/// deadline hit *mid-frame* is a wire failure, not idleness.
-bool IsIdleTimeout(const Status& status);
 
 // ---------------------------------------------------------------------------
 // Socket plumbing. All fds produced here are non-blocking; every recv
@@ -114,14 +107,55 @@ Status SealFrame(FrameType type, std::string* frame);
 Status SendFrame(int fd, std::string_view frame, int timeout_ms,
                  std::atomic<uint64_t>* bytes_counter = nullptr);
 
-/// Reads one frame. `first_byte_timeout_ms` bounds the wait for the
-/// start of the header (the session idle timeout); `body_timeout_ms`
-/// bounds each subsequent poll (a peer that started a frame must finish
-/// it). Clean EOF before any header byte -> NotFound (IsCleanEof);
-/// EOF or timeout mid-frame -> Corruption / DeadlineExceeded.
-Result<Frame> ReadFrame(int fd, int first_byte_timeout_ms,
-                        int body_timeout_ms,
-                        std::atomic<uint64_t>* bytes_counter = nullptr);
+/// The one reader of inbound frames, one per connection (it does not
+/// own the socket). Each recv appends to one buffer and whole frames
+/// are parsed out of it, so bytes behind a frame wait for the next
+/// Take, and the socket is read only when no whole frame is buffered.
+/// Each frame's length cap and CRC are checked here and nowhere else.
+/// After an error the stream is fail-stop. Every status means one
+/// thing:
+///  - NotFound: the peer closed before a frame began.
+///  - DeadlineExceeded: no frame began within the first-byte deadline.
+///  - Corruption: a torn frame (the peer closed, or stalled past the
+///    body deadline, part-way), a length over kMaxFramePayload or a
+///    CRC mismatch; also a failed recv. A failed poll is Internal.
+class FrameReader {
+ public:
+  explicit FrameReader(int fd) : fd_(fd) {}
+
+  int fd() const { return fd_; }
+
+  /// Bytes received and not yet taken as frames.
+  size_t buffered() const { return end_ - begin_; }
+
+  /// Appends what one recv returns to the buffer, without waiting (the
+  /// socket is non-blocking). `bytes_counter`, when non-null,
+  /// accumulates the bytes received (tip_server_stats bytes_in).
+  Status Pull(std::atomic<uint64_t>* bytes_counter = nullptr);
+
+  /// The next whole frame in the buffer, or nullopt when none is
+  /// buffered yet. A frame that is buffered is returned before the
+  /// close behind it, as a cancel client that sends one frame and
+  /// hangs up needs.
+  Result<std::optional<Frame>> Take();
+
+  /// Waits for the next frame, pulling only while no whole frame is
+  /// buffered. `first_byte_timeout_ms` bounds each wait while no byte
+  /// of the frame has arrived and `body_timeout_ms` each wait after
+  /// that (a peer that began a frame must finish it); < 0 waits
+  /// forever.
+  Result<Frame> Next(int first_byte_timeout_ms, int body_timeout_ms,
+                     std::atomic<uint64_t>* bytes_counter = nullptr);
+
+ private:
+  int fd_;
+  /// [begin_, end_) is received and not yet taken; [end_, size) is room
+  /// for the next recv.
+  std::vector<char> buffer_;
+  size_t begin_ = 0;
+  size_t end_ = 0;
+  bool closed_ = false;  // a recv returned end of stream
+};
 
 // ---------------------------------------------------------------------------
 // Payload grammar. Builders return the payload bytes; parsers are
@@ -209,10 +243,13 @@ class ResultFrames final : public engine::ResultSink {
 };
 
 /// Decodes a kResultRows payload against the column types resolved
-/// from the header (one TypeId per column, client-side registry).
-Result<std::vector<engine::Row>> ParseRowsChunk(
-    std::string_view payload, const std::vector<engine::TypeId>& columns,
-    const engine::TypeRegistry& types);
+/// from the header (one TypeId per column, client-side registry),
+/// appending its rows to `*rows`. On failure `*rows` may hold part of
+/// the chunk.
+Status ParseRowsChunk(std::string_view payload,
+                      const std::vector<engine::TypeId>& columns,
+                      const engine::TypeRegistry& types,
+                      std::vector<engine::Row>* rows);
 
 std::string BuildError(const Status& status, bool in_txn);
 struct WireError {

@@ -9,6 +9,9 @@
 //     VerifyDurableDir reports a problem;
 //   * a strict attach that succeeds recovers a transaction-consistent
 //     prefix of the trace (a torn tail or an unclosed bracket was cut);
+//   * a flip anywhere inside a WAL frame other than the last, its
+//     length field included, is damage: a strict attach fails with
+//     Corruption and leaves wal.log byte-identical;
 //   * for snapshot flips, SalvageSnapshot recovers exactly the sections
 //     the verifier counts as intact.
 
@@ -145,6 +148,9 @@ TEST_F(ReaderAgreementTest, StrictAttachAndVerifierAgreeOnEveryFlippedBit) {
   }
 
   std::vector<Artifact> artifacts;
+  size_t wal_last_frame = 0;  // where the last frame of wal.log starts
+  size_t wal_frames = 0;
+  std::vector<bool> wal_length_byte;  // per byte: in a frame's length
   for (const auto& entry : std::filesystem::directory_iterator(pristine)) {
     Artifact artifact;
     artifact.name = entry.path().filename().string();
@@ -155,8 +161,12 @@ TEST_F(ReaderAgreementTest, StrictAttachAndVerifierAgreeOnEveryFlippedBit) {
       artifact.MarkStructural(0, b.size());
     } else if (artifact.name == "wal.log") {
       artifact.MarkStructural(0, 20);
+      wal_length_byte.assign(b.size(), false);
       for (size_t at = 20; at + 8 <= b.size(); at += 8 + LoadU32(b, at)) {
         artifact.MarkStructural(at, 8);
+        for (size_t i = at; i < at + 4; ++i) wal_length_byte[i] = true;
+        wal_last_frame = at;
+        ++wal_frames;
       }
     } else {
       // magic | #tables, then per section u64 length | u32 CRC, then
@@ -173,9 +183,12 @@ TEST_F(ReaderAgreementTest, StrictAttachAndVerifierAgreeOnEveryFlippedBit) {
   }
   ASSERT_EQ(artifacts.size(), 3u) << "expected CHECKPOINT, snapshot, wal.log";
 
+  ASSERT_GT(wal_frames, 1u);
+
   const std::string work = FreshDir("work");
   int detected = 0;
   int recovered = 0;
+  size_t length_field_flips = 0;  // refused flips of an earlier frame's length
   for (size_t a = 0; a < artifacts.size(); ++a) {
     const Artifact& target = artifacts[a];
     const bool is_snapshot = target.name.rfind("snapshot.", 0) == 0;
@@ -216,6 +229,19 @@ TEST_F(ReaderAgreementTest, StrictAttachAndVerifierAgreeOnEveryFlippedBit) {
         }
         db.reset();
 
+        if (target.name == "wal.log" && offset >= 20 &&
+            offset < wal_last_frame) {
+          EXPECT_EQ(attached.code(), StatusCode::kCorruption)
+              << "a flip inside an earlier frame must be damage, not a torn "
+                 "tail: "
+              << attached.ToString();
+          EXPECT_TRUE(ReadAll(work + "/wal.log") == flipped)
+              << "the refused attach changed wal.log";
+          if (wal_length_byte[offset] && !attached.ok()) {
+            ++length_field_flips;
+          }
+        }
+
         if (is_snapshot) {
           Database salvage_target;
           ASSERT_TRUE(datablade::Install(&salvage_target).ok());
@@ -229,6 +255,8 @@ TEST_F(ReaderAgreementTest, StrictAttachAndVerifierAgreeOnEveryFlippedBit) {
   // Vacuity guards: both outcomes must occur.
   EXPECT_GT(detected, 100);
   EXPECT_GT(recovered, 10);
+  // Every frame but the last: 4 length bytes, 3 masks each.
+  EXPECT_EQ(length_field_flips, (wal_frames - 1) * 4 * 3);
 }
 
 }  // namespace

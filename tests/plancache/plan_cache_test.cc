@@ -143,6 +143,31 @@ TEST_F(PlanCacheTest, SetParallelWorkersReplansViaFingerprint) {
   EXPECT_EQ(after.misses, before.misses + 1);
 }
 
+// The text cache is keyed on the SQL alone: two sessions whose worker
+// caps differ share one entry, each plans its own variant once (one
+// miss per setting), and both hit after that.
+TEST_F(PlanCacheTest, SessionsWithDifferentSettingsShareOneTextEntry) {
+  const std::string sql = "SELECT name FROM emp WHERE salary > 150";
+  SessionContext serial;
+  SessionContext wide;
+  serial.parallel_workers = 1;
+  wide.parallel_workers = db_->parallel_workers() + 1;
+  const size_t entries_before = db_->plan_cache_entries();
+  const StatsSnap before = StatsSnap::Of(*db_);
+  for (int round = 0; round < 3; ++round) {
+    for (SessionContext* session : {&serial, &wide}) {
+      Result<ResultSet> r = db_->Execute(sql, nullptr, session);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->rows.size(), 1u);
+      EXPECT_EQ(r->rows[0][0].string_value(), "bob");
+    }
+  }
+  const StatsSnap after = StatsSnap::Of(*db_);
+  EXPECT_EQ(db_->plan_cache_entries(), entries_before + 1);
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.hits - before.hits, 4u);
+}
+
 TEST_F(PlanCacheTest, SetNowRegroundsWithoutReplanning) {
   db_->SetNowOverride(*Chronon::Parse("1999-11-15"));
   Must("CREATE TABLE hist (name CHAR(20), valid Element)");

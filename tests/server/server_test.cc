@@ -74,6 +74,82 @@ class ServerTest : public ::testing::Test {
   std::unique_ptr<Server> server_;
 };
 
+// A frame as a bare session keeps it: the reader's view, copied.
+struct RawFrame {
+  wire::FrameType type;
+  std::string payload;
+};
+
+// A session over a bare socket, so a test sees every frame the server
+// sends rather than what the client library makes of them. Its frames
+// come through the production wire::FrameReader, which checks each
+// frame's length and CRC against its payload, so equal payloads mean
+// equal frames; `bytes_received` counts every byte it read.
+struct RawSession {
+  explicit RawSession(int socket) : fd(socket), reader(socket) {}
+  ~RawSession() { close(fd); }
+
+  // The frames of the next reply, up to the one that ends it: any
+  // frame but a result header or a row chunk. Each frame must begin
+  // within `wait_ms`. Stops early, after a failed expectation, when a
+  // read fails.
+  std::vector<RawFrame> Reply(int wait_ms = 10000) {
+    std::vector<RawFrame> frames;
+    for (;;) {
+      Result<wire::Frame> frame =
+          reader.Next(wait_ms, 5000, &bytes_received);
+      EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+      if (!frame.ok()) break;
+      frames.push_back({frame->type, std::string(frame->payload)});
+      if (frame->type != wire::FrameType::kResultHeader &&
+          frame->type != wire::FrameType::kResultRows) {
+        break;
+      }
+    }
+    return frames;
+  }
+
+  const int fd;
+  wire::FrameReader reader;
+  wire::HelloOk hello;
+  std::atomic<uint64_t> bytes_received{0};
+};
+
+// Dials the server and completes the handshake. Null after a failed
+// expectation.
+std::unique_ptr<RawSession> OpenRawSession(int port) {
+  Result<int> fd = wire::DialTcp("127.0.0.1", port, 1000);
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) return nullptr;
+  auto session = std::make_unique<RawSession>(*fd);
+  Status sent =
+      wire::WriteFrame(*fd, wire::FrameType::kHello, wire::BuildHello(), 1000);
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  const std::vector<RawFrame> reply =
+      sent.ok() ? session->Reply() : std::vector<RawFrame>();
+  Result<wire::HelloOk> parsed =
+      reply.size() == 1 ? wire::ParseHelloOk(reply[0].payload)
+                        : Result<wire::HelloOk>(Status::Internal("no reply"));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  if (!parsed.ok()) return nullptr;
+  session->hello = *parsed;
+  return session;
+}
+
+// Sends one statement on a bare session and returns the frames of its
+// reply, up to the kResultDone or kError that ends it.
+std::vector<RawFrame> RawExec(RawSession* session, const std::string& sql,
+                              const engine::TypeRegistry& types,
+                              const engine::Params& params = {}) {
+  Status sent = wire::WriteFrame(session->fd, wire::FrameType::kExec,
+                                 wire::BuildExec(sql, params, types), 1000);
+  EXPECT_TRUE(sent.ok()) << sent.ToString();
+  if (!sent.ok()) return {};
+  std::vector<RawFrame> frames = session->Reply();
+  EXPECT_FALSE(frames.empty()) << sql;
+  return frames;
+}
+
 // ---- Round trips -----------------------------------------------------------
 
 TEST_F(ServerTest, BasicStatementsRoundTrip) {
@@ -449,33 +525,19 @@ TEST_F(ServerTest, ResultChunksMatchTheReferenceEncoding) {
   ASSERT_GT(expected.size(), 2u);
 
   const uint64_t bytes_before = db_->server_stats().bytes_out.load();
-  Result<int> fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kHello,
-                               wire::BuildHello(), 1000)
-                  .ok());
-  // ReadFrame checks each frame's length and CRC against its payload,
-  // so equal payloads mean equal frames.
-  uint64_t bytes_received = 0;
-  Result<wire::Frame> hello_ok = wire::ReadFrame(*fd, 5000, 5000);
-  ASSERT_TRUE(hello_ok.ok());
-  bytes_received += wire::kFrameHeaderSize + hello_ok->payload.size();
-  ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kExec,
-                               wire::BuildExec(sql, {}, db_->types()), 1000)
-                  .ok());
+  std::unique_ptr<RawSession> session = OpenRawSession(server_->port());
+  ASSERT_NE(session, nullptr);
   std::vector<std::string> received;
-  for (;;) {
-    Result<wire::Frame> frame = wire::ReadFrame(*fd, 5000, 5000);
-    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-    bytes_received += wire::kFrameHeaderSize + frame->payload.size();
-    if (frame->type == wire::FrameType::kResultDone) break;
-    if (frame->type == wire::FrameType::kResultRows) {
-      received.push_back(std::move(frame->payload));
+  for (RawFrame& frame : RawExec(session.get(), sql, db_->types())) {
+    if (frame.type == wire::FrameType::kResultDone) break;
+    if (frame.type == wire::FrameType::kResultRows) {
+      received.push_back(std::move(frame.payload));
     } else {
-      ASSERT_EQ(frame->type, wire::FrameType::kResultHeader);
+      ASSERT_EQ(frame.type, wire::FrameType::kResultHeader);
     }
   }
-  close(*fd);
+  const uint64_t bytes_received = session->bytes_received.load();
+  session.reset();
   EXPECT_EQ(received, expected);
   // The server counts a frame once its send returns, which may be just
   // after the client has read it.
@@ -491,54 +553,9 @@ TEST_F(ServerTest, ResultChunksMatchTheReferenceEncoding) {
 
 // ---- Results encoded from the plan ----------------------------------------
 
-// Opens a session over a bare socket, so a test sees every frame the
-// server sends rather than what the client library makes of them.
-// Returns the socket, or -1 after a failed expectation.
-int OpenRawSession(int port, wire::HelloOk* hello) {
-  Result<int> fd = wire::DialTcp("127.0.0.1", port, 1000);
-  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
-  if (!fd.ok()) return -1;
-  Status sent =
-      wire::WriteFrame(*fd, wire::FrameType::kHello, wire::BuildHello(), 1000);
-  Result<wire::Frame> reply =
-      sent.ok() ? wire::ReadFrame(*fd, 5000, 5000) : Result<wire::Frame>(sent);
-  Result<wire::HelloOk> parsed =
-      reply.ok() ? wire::ParseHelloOk(reply->payload)
-                 : Result<wire::HelloOk>(reply.status());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  if (!parsed.ok()) {
-    close(*fd);
-    return -1;
-  }
-  *hello = *parsed;
-  return *fd;
-}
-
-// Sends one statement on a bare session and returns the frames of its
-// reply, up to the kResultDone or kError that ends it.
-std::vector<wire::Frame> RawExec(int fd, const std::string& sql,
-                                 const engine::TypeRegistry& types,
-                                 const engine::Params& params = {}) {
-  std::vector<wire::Frame> frames;
-  Status sent = wire::WriteFrame(fd, wire::FrameType::kExec,
-                                 wire::BuildExec(sql, params, types), 1000);
-  EXPECT_TRUE(sent.ok()) << sent.ToString();
-  while (sent.ok()) {
-    Result<wire::Frame> frame = wire::ReadFrame(fd, 10000, 5000);
-    EXPECT_TRUE(frame.ok()) << sql << " -> " << frame.status().ToString();
-    if (!frame.ok()) break;
-    frames.push_back(std::move(*frame));
-    if (frames.back().type == wire::FrameType::kResultDone ||
-        frames.back().type == wire::FrameType::kError) {
-      break;
-    }
-  }
-  return frames;
-}
-
 // The error of a reply that must consist of one kError frame alone:
 // no header and no rows before it.
-wire::WireError OnlyError(const std::vector<wire::Frame>& frames) {
+wire::WireError OnlyError(const std::vector<RawFrame>& frames) {
   EXPECT_EQ(frames.size(), 1u);
   if (frames.empty() || frames.back().type != wire::FrameType::kError) {
     ADD_FAILURE() << "the reply does not end in an error frame";
@@ -551,13 +568,13 @@ wire::WireError OnlyError(const std::vector<wire::Frame>& frames) {
 }
 
 // Total row-chunk payload bytes of a successful reply.
-size_t RowBytes(const std::vector<wire::Frame>& frames) {
+size_t RowBytes(const std::vector<RawFrame>& frames) {
   EXPECT_FALSE(frames.empty());
   if (!frames.empty()) {
     EXPECT_EQ(frames.back().type, wire::FrameType::kResultDone);
   }
   size_t bytes = 0;
-  for (const wire::Frame& frame : frames) {
+  for (const RawFrame& frame : frames) {
     if (frame.type == wire::FrameType::kResultRows) {
       bytes += frame.payload.size();
     }
@@ -618,34 +635,36 @@ std::vector<std::string> RowTexts(const engine::ResultSet& result,
 TEST_F(ServerTest, MemoryBudgetBoundsABigRemoteResult) {
   StartServer();
   LoadWindowTable(db_.get());
-  wire::HelloOk hello;
-  const int fd = OpenRawSession(server_->port(), &hello);
-  ASSERT_GE(fd, 0);
+  std::unique_ptr<RawSession> session = OpenRawSession(server_->port());
+  ASSERT_NE(session, nullptr);
   const engine::TypeRegistry& types = db_->types();
-  RawExec(fd, "SET NOW '1999-11-15'", types);
-  const size_t encoded = RowBytes(RawExec(fd, kWindow, types));
+  RawExec(session.get(), "SET NOW '1999-11-15'", types);
+  const size_t encoded = RowBytes(RawExec(session.get(), kWindow, types));
   const size_t limit_kb = 64;
   ASSERT_GT(encoded, limit_kb * 1024);
 
-  RawExec(fd, "SET memory_limit_kb " + std::to_string(limit_kb), types);
-  const wire::WireError error = OnlyError(RawExec(fd, kWindow, types));
+  RawExec(session.get(), "SET memory_limit_kb " + std::to_string(limit_kb),
+          types);
+  const wire::WireError error =
+      OnlyError(RawExec(session.get(), kWindow, types));
   EXPECT_EQ(error.status.code(), StatusCode::kResourceExhausted)
       << error.status.ToString();
   EXPECT_FALSE(error.in_txn);
 
   // The session and its gate survive: the next statement, under the
   // same limit, answers.
-  std::vector<wire::Frame> next = RawExec(
-      fd,
+  std::vector<RawFrame> next = RawExec(
+      session.get(),
       "SELECT count(*) FROM rx "
       "WHERE overlaps(valid, '{[1999-01-01, 1999-12-31]}'::Element)",
       types);
   ASSERT_EQ(next.size(), 3u);
-  Result<std::vector<engine::Row>> count =
-      wire::ParseRowsChunk(next[1].payload, {engine::TypeId::kInt}, types);
-  ASSERT_TRUE(count.ok()) << count.status().ToString();
-  EXPECT_EQ((*count)[0][0].int_value(), kWindowRows);
-  close(fd);
+  std::vector<engine::Row> count;
+  const Status decoded = wire::ParseRowsChunk(
+      next[1].payload, {engine::TypeId::kInt}, types, &count);
+  ASSERT_TRUE(decoded.ok()) << decoded.ToString();
+  EXPECT_EQ(count[0][0].int_value(), kWindowRows);
+  session.reset();
 
   // The same limit trips the embedded path, which charges each row
   // it collects.
@@ -662,14 +681,13 @@ TEST_F(ServerTest, FailureAfterEncodedRowsSendsNoPartialResult) {
   options.max_rows_frame_bytes = 512;  // chunks close before the failure
   StartServer(options);
   LoadWindowTable(db_.get());
-  wire::HelloOk hello;
-  const int fd = OpenRawSession(server_->port(), &hello);
-  ASSERT_GE(fd, 0);
+  std::unique_ptr<RawSession> session = OpenRawSession(server_->port());
+  ASSERT_NE(session, nullptr);
   const engine::TypeRegistry& types = db_->types();
   // Row 2500 divides by zero after 2,500 rows were encoded.
   const std::string failing = "SELECT id, 10 / (id - 2500) FROM rx";
 
-  wire::WireError error = OnlyError(RawExec(fd, failing, types));
+  wire::WireError error = OnlyError(RawExec(session.get(), failing, types));
   EXPECT_EQ(error.status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(error.status.message().find("division by zero"),
             std::string::npos);
@@ -677,19 +695,18 @@ TEST_F(ServerTest, FailureAfterEncodedRowsSendsNoPartialResult) {
 
   // Inside a transaction the error leaves it open, as a validation
   // error does, and ROLLBACK ends it.
-  ASSERT_EQ(RawExec(fd, "BEGIN", types).back().type,
+  ASSERT_EQ(RawExec(session.get(), "BEGIN", types).back().type,
             wire::FrameType::kResultDone);
-  error = OnlyError(RawExec(fd, failing, types));
+  error = OnlyError(RawExec(session.get(), failing, types));
   EXPECT_EQ(error.status.code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(error.in_txn);
-  std::vector<wire::Frame> rollback = RawExec(fd, "ROLLBACK", types);
+  std::vector<RawFrame> rollback = RawExec(session.get(), "ROLLBACK", types);
   ASSERT_EQ(rollback.size(), 2u);
   Result<wire::ResultHeader> header =
       wire::ParseResultHeader(rollback[0].payload);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->message, "ROLLBACK");
   EXPECT_FALSE(header->in_txn);
-  close(fd);
 }
 
 TEST_F(ServerTest, CancelDuringALongScanSendsNoPartialResult) {
@@ -697,18 +714,18 @@ TEST_F(ServerTest, CancelDuringALongScanSendsNoPartialResult) {
   options.max_rows_frame_bytes = 512;
   StartServer(options);
   LoadWindowTable(db_.get());
-  wire::HelloOk hello;
-  const int fd = OpenRawSession(server_->port(), &hello);
-  ASSERT_GE(fd, 0);
+  std::unique_ptr<RawSession> session = OpenRawSession(server_->port());
+  ASSERT_NE(session, nullptr);
+  const wire::HelloOk& hello = session->hello;
   // About 1 ms a row, so rows are being encoded when the cancel lands.
   ASSERT_TRUE(wire::WriteFrame(
-                  fd, wire::FrameType::kExec,
+                  session->fd, wire::FrameType::kExec,
                   wire::BuildExec("SELECT id, tip_sleep_ms(1) FROM rx", {},
                                   db_->types()),
                   1000)
                   .ok());
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::vector<wire::Frame> frames;
+  std::vector<RawFrame> frames;
   for (int i = 0; i < 200 && frames.empty(); ++i) {
     Result<int> cancel_fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
     ASSERT_TRUE(cancel_fd.ok());
@@ -718,11 +735,11 @@ TEST_F(ServerTest, CancelDuringALongScanSendsNoPartialResult) {
                                  1000)
                     .ok());
     close(*cancel_fd);
-    Result<wire::Frame> frame = wire::ReadFrame(fd, 20, 5000);
+    Result<wire::Frame> frame = session->reader.Next(20, 5000);
     if (frame.ok()) {
-      frames.push_back(std::move(*frame));
+      frames.push_back({frame->type, std::string(frame->payload)});
     } else {
-      ASSERT_TRUE(wire::IsIdleTimeout(frame.status()))
+      ASSERT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded)
           << frame.status().ToString();
     }
   }
@@ -731,9 +748,10 @@ TEST_F(ServerTest, CancelDuringALongScanSendsNoPartialResult) {
       << error.status.ToString();
   EXPECT_FALSE(error.in_txn);
   // The session goes on.
-  EXPECT_EQ(RawExec(fd, "SELECT count(*) FROM rx", db_->types()).back().type,
+  EXPECT_EQ(RawExec(session.get(), "SELECT count(*) FROM rx", db_->types())
+                .back()
+                .type,
             wire::FrameType::kResultDone);
-  close(fd);
 }
 
 TEST_F(ServerTest, NowRelativeWindowMatchesEmbeddedAtEveryChunkSize) {
@@ -760,6 +778,42 @@ TEST_F(ServerTest, NowRelativeWindowMatchesEmbeddedAtEveryChunkSize) {
               RowTexts(*embedded, db_->types()))
         << "max_rows_frame_bytes " << frame_bytes;
   }
+}
+
+// A client may send its first statement behind its Hello without
+// waiting for HelloOk: what the handshake read past the Hello carries
+// over into the session, which answers it, and bytes_in counts it once.
+TEST_F(ServerTest, FrameSentBehindTheHelloIsServed) {
+  StartServer();
+  Result<int> fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  RawSession session(*fd);
+  std::string hello;
+  wire::BeginFrame(&hello);
+  hello += wire::BuildHello();
+  ASSERT_TRUE(wire::SealFrame(wire::FrameType::kHello, &hello).ok());
+  std::string exec;
+  wire::BeginFrame(&exec);
+  exec += wire::BuildExec("SELECT 1 + 1", {}, db_->types());
+  ASSERT_TRUE(wire::SealFrame(wire::FrameType::kExec, &exec).ok());
+  ASSERT_TRUE(wire::SendFrame(*fd, hello + exec, 1000).ok());
+
+  // Bounded waits: a session that lost the Exec would never answer.
+  const std::vector<RawFrame> hello_ok = session.Reply(3000);
+  ASSERT_EQ(hello_ok.size(), 1u);
+  EXPECT_EQ(hello_ok[0].type, wire::FrameType::kHelloOk);
+  const std::vector<RawFrame> reply = session.Reply(3000);
+  ASSERT_EQ(reply.size(), 3u);
+  EXPECT_EQ(reply[0].type, wire::FrameType::kResultHeader);
+  ASSERT_EQ(reply[1].type, wire::FrameType::kResultRows);
+  EXPECT_EQ(reply[2].type, wire::FrameType::kResultDone);
+  std::vector<engine::Row> rows;
+  ASSERT_TRUE(wire::ParseRowsChunk(reply[1].payload, {engine::TypeId::kInt},
+                                   db_->types(), &rows)
+                  .ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].int_value(), 2);
+  EXPECT_EQ(db_->server_stats().bytes_in.load(), exec.size());
 }
 
 // ---- Idle, cancel, disconnect ----------------------------------------------
@@ -874,7 +928,8 @@ TEST_F(ServerTest, ProtocolVersionMismatchIsRefused) {
   engine::wire::PutU32(wire::kProtocolVersion + 7, &hello);
   ASSERT_TRUE(
       wire::WriteFrame(*fd, wire::FrameType::kHello, hello, 1000).ok());
-  Result<wire::Frame> reply = wire::ReadFrame(*fd, 2000, 2000);
+  wire::FrameReader reader(*fd);
+  Result<wire::Frame> reply = reader.Next(2000, 2000);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   ASSERT_EQ(reply->type, wire::FrameType::kError);
   Result<wire::WireError> err = wire::ParseError(reply->payload);
@@ -896,7 +951,8 @@ TEST_F(ServerTest, CorruptFrameFailStopsOnlyThatSession) {
   ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kHello,
                                wire::BuildHello(), 1000)
                   .ok());
-  Result<wire::Frame> ok = wire::ReadFrame(*fd, 5000, 5000);
+  wire::FrameReader reader(*fd);
+  Result<wire::Frame> ok = reader.Next(5000, 5000);
   ASSERT_TRUE(ok.ok());
   ASSERT_EQ(ok->type, wire::FrameType::kHelloOk);
 
@@ -909,7 +965,7 @@ TEST_F(ServerTest, CorruptFrameFailStopsOnlyThatSession) {
   ssize_t wrote = write(*fd, frame.data(), frame.size());
   ASSERT_EQ(wrote, static_cast<ssize_t>(frame.size()));
   // Fail-stop: the server hangs up on this session without replying.
-  Result<wire::Frame> gone = wire::ReadFrame(*fd, 5000, 5000);
+  Result<wire::Frame> gone = reader.Next(5000, 5000);
   EXPECT_FALSE(gone.ok());
   close(*fd);
 

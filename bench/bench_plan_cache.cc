@@ -3,7 +3,7 @@
 // overlaps join — run 10,000 times each under three regimes:
 //
 //   cold      SET plan_cache off; every execution pays lexer + parser
-//             + planner (the pre-cache engine);
+//             + planner for a handle of its own, used once;
 //   cached    SET plan_cache on; one-shot Execute(sql, params) hits the
 //             text-keyed LRU, skipping parse and plan after warmup;
 //   prepared  an explicit Database::Prepare handle, rebinding the

@@ -8,9 +8,7 @@
 // the same insert trace against a non-durable database (the floor)
 // and a durable directory under each mode, and records the relative
 // overhead in BENCH_wal_overhead.json. The budgets: off within noise
-// of the floor, group < 15% over off, and the integrity subsystem's
-// per-row content checksum (async vs async with
-// `SET table_checksums off`) < 3% on the append path.
+// of the floor and group < 15% over off.
 
 #include <cinttypes>
 #include <algorithm>
@@ -70,11 +68,9 @@ double TimeTrace(Database* db, const std::vector<std::string>& trace) {
 }
 
 /// One timed replay of the trace on a fresh database; `durable` false
-/// gives the in-memory floor, `checksums` false switches off the
-/// per-row content checksum maintenance the integrity subsystem adds
-/// to every write. Starts from an empty directory so no run pays for
-/// a previous run's log.
-double RunOnce(bool durable, WalMode mode, bool checksums,
+/// gives the in-memory floor. Starts from an empty directory so no run
+/// pays for a previous run's log.
+double RunOnce(bool durable, WalMode mode,
                const std::vector<std::string>& trace) {
   const std::string dir =
       std::filesystem::temp_directory_path() / "tip_bench_wal";
@@ -87,7 +83,6 @@ double RunOnce(bool durable, WalMode mode, bool checksums,
     tip::bench::Check(db->AttachDurableDir(dir), "attach");
     db->set_wal_mode(mode);
   }
-  if (!checksums) MustExec(db.get(), "SET table_checksums off");
   MustExec(db.get(),
            "CREATE TABLE rx (id INT, drug CHAR(8), valid Element)");
   MustExec(db.get(), "CREATE INDEX rx_valid ON rx(valid) USING interval");
@@ -116,60 +111,37 @@ int main() {
   // on a shared machine is bursty, and interleaving shares any drift
   // across all configurations instead of letting one mode absorb a
   // bad stretch; the minimum is the noise-robust estimator for a
-  // deterministic workload. The adjacent async / async-nock pair
-  // isolates the integrity subsystem's per-row checksum (`SET
-  // table_checksums off`, same WAL bytes either way): the effect is
-  // percent-level, smaller than the drift between whole runs, so it
-  // is estimated from the *paired* per-rep differences — the two legs
-  // run back to back, drift cancels in each difference, and the
-  // median difference shrugs off the reps a background burst ruins.
+  // deterministic workload.
   struct Config {
     const char* name;
     bool durable;
     WalMode mode;
-    bool checksums = true;
     double ms = 1e300;
   };
   Config configs[] = {{"in-memory", false, WalMode::kOff},
                       {"off", true, WalMode::kOff},
                       {"async", true, WalMode::kAsync},
-                      {"async-nock", true, WalMode::kAsync, false},
                       {"group", true, WalMode::kGroup},
                       {"sync", true, WalMode::kSync}};
-  constexpr int kConfigs = sizeof(configs) / sizeof(configs[0]);
-  std::vector<double> rep_ms[kConfigs];
-  for (Config& config : configs) {  // warm both paths once
-    RunOnce(config.durable, config.mode, config.checksums, trace);
+  for (Config& config : configs) {  // warm every path once
+    RunOnce(config.durable, config.mode, trace);
   }
   for (int rep = 0; rep < kReps; ++rep) {
-    for (int i = 0; i < kConfigs; ++i) {
-      const double ms = RunOnce(configs[i].durable, configs[i].mode,
-                                configs[i].checksums, trace);
-      configs[i].ms = std::min(configs[i].ms, ms);
-      rep_ms[i].push_back(ms);
+    for (Config& config : configs) {
+      config.ms =
+          std::min(config.ms, RunOnce(config.durable, config.mode, trace));
     }
   }
   const double memory_ms = configs[0].ms;
   const double off_ms = configs[1].ms;
   const double async_ms = configs[2].ms;
-  const double async_nock_ms = configs[3].ms;
-  const double group_ms = configs[4].ms;
-  const double sync_ms = configs[5].ms;
+  const double group_ms = configs[3].ms;
+  const double sync_ms = configs[4].ms;
   for (const Config& config : configs) {
     std::printf("%10s %10.3f %13.2f%% %13.2f%%\n", config.name, config.ms,
                 OverheadPct(config.ms, memory_ms),
                 OverheadPct(config.ms, off_ms));
   }
-  std::vector<double> diffs(kReps);
-  for (int rep = 0; rep < kReps; ++rep) {
-    diffs[rep] = rep_ms[2][rep] - rep_ms[3][rep];
-  }
-  std::nth_element(diffs.begin(), diffs.begin() + kReps / 2, diffs.end());
-  const double checksum_pct = diffs[kReps / 2] / async_nock_ms * 100.0;
-  std::printf(
-      "\nrow-checksum overhead on the append path (paired async vs "
-      "async-nock): %.2f%% (budget < 3%%)\n",
-      checksum_pct);
 
   std::FILE* out = std::fopen("BENCH_wal_overhead.json", "w");
   if (out != nullptr) {
@@ -183,15 +155,13 @@ int main() {
         "  \"off\": {\"ms\": %.3f, \"overhead_vs_memory_pct\": %.2f},\n"
         "  \"async\": {\"ms\": %.3f, \"overhead_vs_off_pct\": %.2f},\n"
         "  \"group\": {\"ms\": %.3f, \"overhead_vs_off_pct\": %.2f},\n"
-        "  \"sync\": {\"ms\": %.3f, \"overhead_vs_off_pct\": %.2f},\n"
-        "  \"async_no_checksums_ms\": %.3f,\n"
-        "  \"checksum_overhead_pct\": %.2f\n"
+        "  \"sync\": {\"ms\": %.3f, \"overhead_vs_off_pct\": %.2f}\n"
         "}\n",
         kStatements, kRowsPerStatement, kReps, memory_ms, off_ms,
         OverheadPct(off_ms, memory_ms),
         async_ms, OverheadPct(async_ms, off_ms), group_ms,
         OverheadPct(group_ms, off_ms), sync_ms,
-        OverheadPct(sync_ms, off_ms), async_nock_ms, checksum_pct);
+        OverheadPct(sync_ms, off_ms));
     std::fclose(out);
     std::printf("\nwrote BENCH_wal_overhead.json\n");
   }

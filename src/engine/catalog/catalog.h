@@ -140,7 +140,7 @@ class Catalog {
   size_t quarantine_count() const { return quarantined_.size(); }
 
   /// Installs the per-row content hasher applied to every current and
-  /// future table's heap (reseeding their running checksums).
+  /// future table's heap (recomputing their running checksums).
   void SetRowHasher(HeapTable::RowHasher hasher);
 
   /// Invoked after every successful CreateTable/DropTable. The Database

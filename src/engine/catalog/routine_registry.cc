@@ -1,5 +1,7 @@
 #include "engine/catalog/routine_registry.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
 
 namespace tip::engine {
@@ -133,19 +135,21 @@ Result<ResolvedRoutine> RoutineRegistry::Resolve(
                            SignatureString(lower, arg_types, types));
 }
 
-Status RoutineRegistry::Remove(std::string_view name) {
+Status RoutineRegistry::Remove(std::string_view name,
+                               const std::vector<TypeId>& params) {
   const std::string lower = ToLowerAscii(name);
-  size_t removed = 0;
-  for (size_t i = routines_.size(); i-- > 0;) {
-    if (routines_[i].name == lower) {
-      routines_.erase(routines_.begin() + static_cast<ptrdiff_t>(i));
-      ++removed;
-    }
+  auto it = std::ranges::find_if(routines_, [&](const Routine& r) {
+    return r.name == lower && r.params == params;
+  });
+  if (it == routines_.end()) {
+    return Status::NotFound("no routine '" + lower +
+                            "' with this signature");
   }
-  if (removed == 0) {
-    return Status::NotFound("no routine named '" + lower + "'");
-  }
-  {
+  routines_.erase(it);
+  // The name stays serial-only while another overload still is.
+  if (std::ranges::none_of(routines_, [&](const Routine& r) {
+        return r.name == lower && r.serial_only;
+      })) {
     std::lock_guard<std::mutex> lock(serial_only_mu_);
     serial_only_.erase(lower);
   }

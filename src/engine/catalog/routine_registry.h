@@ -38,7 +38,7 @@ struct Routine {
   /// is NULL (the SQL default).
   bool strict = true;
   /// True for a routine that changes database state (a checkpoint, a
-  /// WAL sync, a checksum reseed) and for every CREATE FUNCTION routine,
+  /// WAL sync, a scrub) and for every CREATE FUNCTION routine,
   /// whose body can call one. A statement that calls it scans serially,
   /// so the routine never runs on two threads at once, and the server
   /// runs it as a writer.
@@ -78,10 +78,10 @@ class RoutineRegistry {
                                   const CastRegistry& casts,
                                   const TypeRegistry* types = nullptr) const;
 
-  /// Removes every overload registered under `name`; NotFound if none.
-  /// Used by DROP FUNCTION (the caller is responsible for restricting
-  /// removal to SQL-created routines).
-  Status Remove(std::string_view name);
+  /// Removes the overload with exactly this signature; NotFound if
+  /// none. Used by DROP FUNCTION (the caller is responsible for
+  /// restricting removal to SQL-created routines).
+  Status Remove(std::string_view name, const std::vector<TypeId>& params);
 
   /// True iff any overload is registered under `name`.
   bool Exists(std::string_view name) const;

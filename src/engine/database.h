@@ -9,7 +9,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -226,10 +225,10 @@ class Database {
   Status ExecutePrepared(const PreparedPlan& plan, const Params* params,
                          SessionContext* session, ResultSink* sink);
 
-  /// SET plan_cache on|off: when off, Execute(sql) parses and plans
-  /// from scratch (the pre-cache behavior) and Prepare stops consulting
-  /// the shared text cache; explicit prepared handles keep their
-  /// variants — caching is their contract.
+  /// SET plan_cache on|off: when off, Prepare neither consults nor
+  /// fills the text cache, so each Execute(sql) plans a handle of its
+  /// own, and no hit or miss is counted; explicit prepared handles
+  /// keep their variants — caching is their contract.
   void set_plan_cache_enabled(bool on) { plan_cache_enabled_ = on; }
   bool plan_cache_enabled() const { return plan_cache_enabled_; }
   /// SET plan_cache_size n: capacity of the text-keyed LRU cache.
@@ -430,15 +429,6 @@ class Database {
 
   // -- Integrity -------------------------------------------------------------
 
-  /// SET TABLE_CHECKSUMS on|off: whether the per-table incremental
-  /// content checksums are maintained on the write path. Default on.
-  /// Turning them off marks every subsequently-written table's checksum
-  /// unmaintained; CHECK TABLE reseeds it once they are back on.
-  void set_table_checksums_enabled(bool on) {
-    table_checksums_enabled_ = on;
-  }
-  bool table_checksums_enabled() const { return table_checksums_enabled_; }
-
   /// SET SCRUB on|off: background scrub scheduling. While on, every
   /// successful Checkpoint() also walks ONE table's online CHECK
   /// (round-robin over the catalog, one table per checkpoint interval),
@@ -474,17 +464,8 @@ class Database {
   void RecordScrub(uint64_t objects_checked, uint64_t corruptions_found);
 
  private:
-  /// Wraps ExecuteStatement with the transaction error contract: a
-  /// statement failing with a lifecycle or I/O status inside an open
-  /// transaction aborts the whole transaction (the caller cannot know
-  /// how much of the statement ran); plain validation errors leave it
-  /// open (statement-level atomicity already restored the tables).
-  Status ExecuteParsed(const Statement& stmt, const Params* params,
-                       std::string_view sql, SessionContext* session,
-                       ResultSink* sink);
-  /// One statement under its guard: a SELECT runs its plan into the
-  /// sink, anything else runs through ExecuteCommand and hands the
-  /// ResultSet it built to the sink.
+  /// A statement other than a SELECT, under its guard: runs
+  /// ExecuteCommand and hands the ResultSet it built to the sink.
   Status ExecuteStatement(const Statement& stmt, const Params* params,
                           std::string_view sql, SessionContext* session,
                           ResultSink* sink);
@@ -494,8 +475,8 @@ class Database {
                                    std::string_view sql, SessionContext* s,
                                    const PlannerContext& pctx,
                                    EvalContext& eval);
-  /// The prepared SELECT fast path: find or build a plan variant, then
-  /// run the cached tree under a fresh EvalContext.
+  /// The one SELECT path: find or build a plan variant, then run the
+  /// cached tree under a fresh EvalContext.
   Status ExecutePreparedSelect(const PreparedPlan& plan, const Params* params,
                                SessionContext* session, ResultSink* sink);
   /// Plans one variant of a prepared SELECT under the current catalog.
@@ -504,13 +485,13 @@ class Database {
       std::string settings_fingerprint, std::string param_signature,
       SessionContext* session);
   /// The session-settings half of the plan-cache key: everything the
-  /// planner reads besides the catalog (join toggles, parallel knobs,
-  /// guard switch).
+  /// planner reads besides the catalog (join toggles, parallel knobs).
   std::string SettingsFingerprint(const SessionContext* session) const;
   PlannerContext MakePlannerContext(const Params* params,
                                     SessionContext* session);
-  /// Shared auto-abort contract for both execution paths (see
-  /// ExecuteParsed).
+  /// The transaction error contract: a statement failing with a
+  /// lifecycle or I/O status (IsTxnFatal) aborts the session's open
+  /// transaction; validation errors leave it open.
   Status ApplyTxnErrorContract(Status status, SessionContext* session);
 
   /// Maps null to the built-in global session (the embedded client and
@@ -535,13 +516,10 @@ class Database {
   /// replay diverge from the acknowledged history).
   Status LogAppliedDdl(std::string_view sql,
                        const std::function<void()>& undo);
-  void RegisterGuard(ExecGuard* guard, const SessionContext* session);
-  void DeregisterGuard(ExecGuard* guard);
 
   /// Arms the per-statement lifecycle guard on `eval` (deadline, cancel
-  /// visibility, memory budget) and deregisters it on unwind; a no-op
-  /// when SET statement_guard off. Shared by the one-shot and prepared
-  /// execution paths so both honour the same contract.
+  /// visibility, memory budget) and registers it in active_guards_ until
+  /// unwind. Every statement runs under one.
   class GuardArm {
    public:
     GuardArm(Database* db, EvalContext* eval, SessionContext* session);
@@ -552,7 +530,6 @@ class Database {
    private:
     Database* db_;
     ExecGuard guard_;
-    bool registered_ = false;
   };
 
   /// Undo/WAL state of the writing transaction — the single writer
@@ -607,7 +584,7 @@ class Database {
   /// embedded client, the C API and most tests. Mutable so const
   /// accessors (CurrentTx) can lock-read it like any other session.
   mutable SessionContext global_session_;
-  /// Guards of statements currently inside ExecuteParsed, tagged with
+  /// Guards of statements currently executing, tagged with
   /// the session they run for, so CancelActiveStatements (all) and
   /// CancelSessionStatements (one session) can reach them from another
   /// thread. Entries are stack-owned by their Execute call and
@@ -617,10 +594,6 @@ class Database {
   /// the multi-session replacement for "is txn_ set" in the global
   /// refusal checks (DDL / wal_mode / checkpoint / ATTACH).
   std::atomic<int> open_txns_{0};
-  /// SET STATEMENT_GUARD OFF disables guard creation entirely — the
-  /// pre-guardrail execution path, kept addressable so the guard's
-  /// overhead stays measurable in-binary (bench_guard_overhead).
-  std::atomic<bool> statement_guard_enabled_{true};
   GuardEvents guard_events_;
   std::atomic<bool> enable_hash_join_{true};
   std::atomic<bool> enable_interval_join_{true};
@@ -635,9 +608,15 @@ class Database {
   std::atomic<bool> plan_cache_enabled_{true};
   PlanCache plan_cache_;
   PlanCacheStats plan_cache_stats_;
-  /// Names created via CREATE FUNCTION (the only ones DROP FUNCTION
-  /// may remove).
-  std::set<std::string> sql_functions_;
+  /// The routines CREATE FUNCTION made, one per overload, in creation
+  /// order. DROP FUNCTION removes only these, and every checkpoint's
+  /// metadata carries their text, because snapshots store only tables.
+  struct SqlFunction {
+    std::string name;  // lower-case
+    std::vector<TypeId> params;
+    std::string ddl;
+  };
+  std::vector<SqlFunction> sql_functions_;
 
   // -- Durability state ------------------------------------------------------
   /// Serializes Checkpoint() against itself; everything else about
@@ -652,9 +631,6 @@ class Database {
   /// True while AttachDurableDir restores state: suppresses re-logging
   /// of the statements being replayed.
   bool replaying_ = false;
-  /// CREATE FUNCTION text by function name, carried in the checkpoint
-  /// metadata because snapshots store only tables.
-  std::map<std::string, std::string> sql_function_ddl_;
   /// Atomics, not plain counters: tip_wal_stats() reads them from
   /// concurrent read-only sessions while tip_checkpoint() or a
   /// commit bumps them.
@@ -668,9 +644,6 @@ class Database {
     std::atomic<uint64_t> txn_records_discarded{0};
   };
   DurabilityCounters durability_;
-  /// Write-path checksum switch; read by the row hasher on every
-  /// logged write, flipped by SET TABLE_CHECKSUMS.
-  std::atomic<bool> table_checksums_enabled_{true};
   /// Scrub counters (atomics for the same stats-poll reason as above).
   struct IntegrityCounters {
     std::atomic<uint64_t> scrubs_run{0};

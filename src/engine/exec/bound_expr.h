@@ -78,10 +78,10 @@ class BoundConstant final : public BoundExpr {
 
 /// A late-bound host parameter (`:name`), resolved at plan time to an
 /// ordinal slot in the per-execution parameter vector
-/// (EvalContext::params). Unlike BoundConstant — into which the
-/// one-shot path folds the bound value — the slot is read afresh on
-/// every evaluation, so a prepared plan can be re-executed under new
-/// bindings of the same types without replanning.
+/// (EvalContext::params). Unlike BoundConstant — into which statements
+/// planned per execution (DML, EXPLAIN) fold the bound value — the slot
+/// is read afresh on every evaluation, so a SELECT's plan can be
+/// re-executed under new bindings of the same types without replanning.
 class BoundParam final : public BoundExpr {
  public:
   BoundParam(TypeId type, size_t slot, std::string name)

@@ -28,13 +28,13 @@ struct PlannerContext {
   Catalog* catalog = nullptr;
   /// Host parameters (`:name`); may be null when the statement has none.
   const std::map<std::string, Datum, std::less<>>* params = nullptr;
-  /// Prepared-statement mode: when non-null, `:name` placeholders bind
-  /// as late-bound ordinal slots (BoundParam) instead of folding the
-  /// bound value in as a constant. `ctx.params` still supplies each
-  /// parameter's planned type; `slot_names` accumulates the ordinal →
-  /// name assignment in order of first use, and is retained by the
-  /// prepared plan so executions can fill the slot vector without
-  /// per-name map lookups on the hot path.
+  /// Set when planning a SELECT: `:name` placeholders bind as
+  /// late-bound ordinal slots (BoundParam). Null for DML and EXPLAIN,
+  /// planned per execution, which fold the bound value in as a constant.
+  /// `ctx.params` still supplies each parameter's planned type;
+  /// `slot_names` accumulates the ordinal → name assignment in order of
+  /// first use, and is retained by the prepared plan so executions can
+  /// fill the slot vector without per-name map lookups on the hot path.
   std::vector<std::string>* param_slots = nullptr;
   /// Interval-key extractors per indexable type (registered by the
   /// DataBlade); used for index scans/joins and CREATE INDEX.

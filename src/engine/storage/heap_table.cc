@@ -81,7 +81,6 @@ void HeapTable::ResetTo(std::vector<Row> rows) {
   pages_.clear();
   live_rows_ = 0;
   content_checksum_ = 0;
-  checksum_maintained_ = row_hasher_ != nullptr;
   ++version_;  // Insert bumps it too, but rows may be empty
   for (Row& row : rows) Insert(std::move(row));
   log_start_ = version_;  // row ids were reassigned: nothing can catch up
@@ -107,37 +106,19 @@ bool HeapTable::ChangedSince(uint64_t since,
 
 void HeapTable::set_row_hasher(RowHasher hasher) {
   row_hasher_ = std::move(hasher);
-  ReseedChecksum();
-}
-
-void HeapTable::ReseedChecksum() {
   content_checksum_ = 0;
-  checksum_maintained_ = row_hasher_ != nullptr;
-  if (!checksum_maintained_) return;
   Cursor cursor = Scan();
   RowId id;
   const Row* row;
-  while (checksum_maintained_ && cursor.Next(&id, &row)) AddRowHash(*row);
+  while (cursor.Next(&id, &row)) AddRowHash(*row);
 }
 
 void HeapTable::AddRowHash(const Row& row) {
-  if (!checksum_maintained_) return;
-  if (std::optional<uint64_t> h = row_hasher_(row)) {
-    content_checksum_ += *h;
-  } else {
-    checksum_maintained_ = false;
-    content_checksum_ = 0;
-  }
+  if (row_hasher_) content_checksum_ += row_hasher_(row);
 }
 
 void HeapTable::SubRowHash(const Row& row) {
-  if (!checksum_maintained_) return;
-  if (std::optional<uint64_t> h = row_hasher_(row)) {
-    content_checksum_ -= *h;
-  } else {
-    checksum_maintained_ = false;
-    content_checksum_ = 0;
-  }
+  if (row_hasher_) content_checksum_ -= row_hasher_(row);
 }
 
 const Row* HeapTable::Get(RowId id) const {

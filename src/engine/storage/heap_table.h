@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/status.h"
@@ -114,28 +113,19 @@ class HeapTable {
   /// or the last ResetTo.
   bool ChangedSince(uint64_t since, std::vector<RowId>* out) const;
 
-  /// Hash of one row's logical content, or nullopt when hashing is
-  /// currently disabled. Installed by the owning database so the heap
-  /// stays ignorant of serialization.
-  using RowHasher = std::function<std::optional<uint64_t>(const Row&)>;
+  /// Hash of one row's logical content. Installed by the owning
+  /// database so the heap stays ignorant of serialization.
+  using RowHasher = std::function<uint64_t(const Row&)>;
 
-  /// Installs (or replaces) the hasher and reseeds the running
+  /// Installs (or replaces) the hasher and recomputes the running
   /// checksum from the current live rows.
   void set_row_hasher(RowHasher hasher);
   const RowHasher& row_hasher() const { return row_hasher_; }
 
   /// Order-independent wrapping sum of per-row hashes over the live
-  /// rows, maintained incrementally by Insert/Update/Delete/ResetTo.
-  /// Meaningful only while checksum_maintained() is true.
+  /// rows, maintained incrementally by Insert/Update/Delete/ResetTo;
+  /// 0 while no hasher is installed.
   uint64_t content_checksum() const { return content_checksum_; }
-
-  /// False until a hasher is installed, and false again after any
-  /// mutation the hasher declined to hash (checksums switched off);
-  /// ReseedChecksum restores maintenance.
-  bool checksum_maintained() const { return checksum_maintained_; }
-
-  /// Recomputes the checksum from scratch over the live rows.
-  void ReseedChecksum();
 
  private:
   struct Page {
@@ -158,7 +148,6 @@ class HeapTable {
   uint64_t log_start_ = 0;
   RowHasher row_hasher_;
   uint64_t content_checksum_ = 0;
-  bool checksum_maintained_ = false;
 };
 
 /// One contiguous page range of a heap, claimed by a scan worker.

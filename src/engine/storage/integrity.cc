@@ -108,48 +108,23 @@ Result<CheckFinding> CheckTable(Database* db, Table* table,
 
   // Checksum leg: recompute from the live rows with the installed
   // hasher and compare against the incrementally maintained sum.
-  HeapTable& heap = table->heap();
-  const HeapTable::RowHasher& hasher = heap.row_hasher();
+  const HeapTable& heap = table->heap();
   uint64_t recomputed = 0;
-  bool recompute_valid = hasher != nullptr;
   size_t rows = 0;
-  if (hasher != nullptr) {
-    HeapTable::Cursor cursor = heap.Scan();
-    RowId id;
-    const Row* row;
-    while (cursor.Next(&id, &row)) {
-      if (eval != nullptr) TIP_RETURN_IF_ERROR(eval->CheckGuard());
-      ++rows;
-      if (!recompute_valid) continue;
-      std::optional<uint64_t> h = hasher(*row);
-      if (h.has_value()) {
-        recomputed += *h;
-      } else {
-        recompute_valid = false;  // checksums switched off mid-scan
-      }
-    }
-  } else {
-    rows = heap.row_count();
+  HeapTable::Cursor cursor = heap.Scan();
+  RowId id;
+  const Row* row;
+  while (cursor.Next(&id, &row)) {
+    if (eval != nullptr) TIP_RETURN_IF_ERROR(eval->CheckGuard());
+    ++rows;
+    recomputed += heap.row_hasher()(*row);
   }
-
-  std::string checksum_note;
-  if (!recompute_valid) {
-    checksum_note = "checksums off";
-  } else if (heap.checksum_maintained()) {
-    if (recomputed != heap.content_checksum()) {
-      finding.ok = false;
-      finding.detail = "content checksum mismatch: maintained " +
-                       Hex64(heap.content_checksum()) + ", recomputed " +
-                       Hex64(recomputed) +
-                       " over " + std::to_string(rows) + " live row(s)";
-    } else {
-      checksum_note = "checksum=" + Hex64(recomputed);
-    }
-  } else {
-    // Maintenance lapsed (checksums were off for some write); the scan
-    // above is already the reseed — adopt it.
-    heap.ReseedChecksum();
-    checksum_note = "checksum reseeded to " + Hex64(heap.content_checksum());
+  if (recomputed != heap.content_checksum()) {
+    finding.ok = false;
+    finding.detail = "content checksum mismatch: maintained " +
+                     Hex64(heap.content_checksum()) + ", recomputed " +
+                     Hex64(recomputed) + " over " + std::to_string(rows) +
+                     " live row(s)";
   }
 
   // Index leg: every declared interval index, both directions.
@@ -158,10 +133,9 @@ Result<CheckFinding> CheckTable(Database* db, Table* table,
   }
 
   if (finding.ok) {
-    finding.detail = "rows=" + std::to_string(rows);
-    if (!checksum_note.empty()) finding.detail += " " + checksum_note;
-    finding.detail +=
-        " indexes=" + std::to_string(table->interval_indexes().size());
+    finding.detail = "rows=" + std::to_string(rows) +
+                     " checksum=" + Hex64(recomputed) + " indexes=" +
+                     std::to_string(table->interval_indexes().size());
   }
   return finding;
 }

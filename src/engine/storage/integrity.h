@@ -29,8 +29,7 @@ struct CheckFinding {
 
 /// Scrubs one table online:
 ///   * recomputes the per-row content checksum over the live rows and
-///     compares it against the incrementally maintained one (reseeding
-///     instead when maintenance had lapsed and checksums are enabled);
+///     compares it against the incrementally maintained one;
 ///   * cross-checks every interval index bidirectionally against the
 ///     heap — each live row's key must be findable through the index,
 ///     and each index entry must point at a live row.

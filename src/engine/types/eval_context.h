@@ -27,8 +27,8 @@ struct EvalContext {
   ExecGuard* guard = nullptr;
 
   /// Host-parameter values for this execution, indexed by the ordinal
-  /// slots a prepared plan assigned at plan time (BoundParam reads
-  /// them). Null on the one-shot path, where `:name` placeholders fold
+  /// slots a SELECT's plan assigned at plan time (BoundParam reads
+  /// them). Null for other statements, which fold `:name` placeholders
   /// into constants instead. Parallel workers building a private
   /// EvalContext must copy this pointer from the parent context.
   const std::vector<Datum>* params = nullptr;
@@ -51,10 +51,6 @@ struct EvalContext {
   /// Accounts statement-local buffering against the memory budget.
   Status ReserveMemory(size_t bytes) {
     return guard != nullptr ? guard->Reserve(bytes) : Status::OK();
-  }
-
-  void ReleaseMemory(size_t bytes) {
-    if (guard != nullptr) guard->Release(bytes);
   }
 };
 

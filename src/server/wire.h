@@ -63,7 +63,7 @@ enum class FrameType : uint8_t {
   kResultDone = 19,    // empty; result complete
   kError = 20,         // u32 status_code | string message | u8 in_txn
   kPong = 21,          // empty
-  kPrepareOk = 22,     // empty; statement parsed and planned
+  kPrepareOk = 22,     // empty; statement parsed
 };
 
 /// A frame handed out by a FrameReader. The payload views the reader's

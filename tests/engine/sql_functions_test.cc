@@ -132,6 +132,18 @@ TEST_F(SqlFunctionsTest, DropFunction) {
   EXPECT_EQ(One("SELECT length('abc')"), "3");
 }
 
+TEST_F(SqlFunctionsTest, DropFunctionKeepsDataBladeRoutinesOfTheSameName) {
+  Exec("CREATE FUNCTION length(x INT) RETURNS INT AS 'x'");
+  EXPECT_EQ(One("SELECT length(7)"), "7");
+  Exec("DROP FUNCTION length");
+  // Only the overload CREATE FUNCTION made is gone.
+  EXPECT_EQ(ExecErr("SELECT length(7)").code(), StatusCode::kTypeError);
+  EXPECT_EQ(One("SELECT length('abc')"), "3");
+  EXPECT_EQ(One("SELECT length('{[1999-01-01, 1999-01-03]}'::Element)"
+                "::char"),
+            "2 00:00:01");
+}
+
 TEST_F(SqlFunctionsTest, UsableInsideAggregatedQueries) {
   Exec("CREATE TABLE t (k CHAR(4), v Element)");
   Exec("INSERT INTO t VALUES "

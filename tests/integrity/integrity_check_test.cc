@@ -110,30 +110,22 @@ TEST_F(IntegrityCheckTest, PerturbedRowHashIsDetectedAsChecksumMismatch) {
   EXPECT_EQ(CheckRow(Exec("CHECK TABLE t"), "t").first, "corrupt");
 }
 
-TEST_F(IntegrityCheckTest, ChecksumLapsesWhileOffAndCheckReseeds) {
+TEST_F(IntegrityCheckTest, ChecksumsCannotBeSwitchedOffToEraseDamage) {
   Exec("CREATE TABLE t (id INT)");
-  Exec("SET table_checksums off");
-  Exec("INSERT INTO t VALUES (1)");  // write with no hash: lapses
-  Exec("SET table_checksums on");
-
-  // First CHECK adopts the recomputed sum (the scan doubles as the
-  // reseed); the second verifies against it.
-  auto [status1, detail1] = CheckRow(Exec("CHECK TABLE t"), "t");
-  EXPECT_EQ(status1, "ok");
-  EXPECT_NE(detail1.find("checksum reseeded to 0x"), std::string::npos)
-      << detail1;
-  auto [status2, detail2] = CheckRow(Exec("CHECK TABLE t"), "t");
-  EXPECT_EQ(status2, "ok");
-  EXPECT_NE(detail2.find("checksum=0x"), std::string::npos) << detail2;
-}
-
-TEST_F(IntegrityCheckTest, CheckWhileChecksumsOffSaysSo) {
-  Exec("CREATE TABLE t (id INT)");
+  fault::InjectAt("integrity.rowhash", 0);
   Exec("INSERT INTO t VALUES (1)");
-  Exec("SET table_checksums off");
-  auto [status, detail] = CheckRow(Exec("CHECK TABLE t"), "t");
-  EXPECT_EQ(status, "ok");
-  EXPECT_NE(detail.find("checksums off"), std::string::npos) << detail;
+
+  // Checksums are not a setting: no session can suspend them, so no
+  // later write can lapse the damaged sum and no CHECK can adopt it.
+  EXPECT_EQ(db_.Execute("SET table_checksums off").status().code(),
+            StatusCode::kInvalidArgument);
+  Exec("INSERT INTO t VALUES (2)");
+  for (int i = 0; i < 2; ++i) {
+    auto [status, detail] = CheckRow(Exec("CHECK TABLE t"), "t");
+    EXPECT_EQ(status, "corrupt") << "CHECK " << i;
+    EXPECT_NE(detail.find("content checksum mismatch"), std::string::npos)
+        << detail;
+  }
 }
 
 TEST_F(IntegrityCheckTest, CorruptIndexEntryIsDetectedInBothDirections) {

@@ -171,16 +171,6 @@ TEST_F(StatementLifecycleTest, AbortedInsertLeavesTableUntouched) {
             0);
 }
 
-TEST_F(StatementLifecycleTest, GuardDisabledReproducesUnguardedPath) {
-  Exec("SET statement_guard off");
-  Exec("SET statement_timeout_ms 1");
-  // With the guard off the timeout cannot trip, however slow the scan.
-  Result<ResultSet> r = db_.Execute("SELECT tip_sleep_ms(1) FROM t");
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  Exec("SET statement_guard on");
-  Exec("SET statement_timeout_ms 0");
-}
-
 TEST_F(StatementLifecycleTest, FaultInjectViaSetStatement) {
   // Arm the guard's own reserve path: the next buffering operator
   // fails with the injected fault, deterministically.

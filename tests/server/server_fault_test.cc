@@ -208,6 +208,29 @@ TEST_F(ServerFaultTest, FaultsCanBeArmedOverTheWire) {
   EXPECT_TRUE(b->Ping().ok());
 }
 
+TEST_F(ServerFaultTest, NoSessionCanDisarmAnotherSessionsDeadline) {
+  // The statement guard is not a setting: one client cannot switch off
+  // the deadline (or cancel, or memory budget) every session runs under.
+  ServerOptions options;
+  options.default_statement_timeout_ms = 200;
+  StartServer(options);
+  std::unique_ptr<Connection> a = Connect();
+  std::unique_ptr<Connection> b = Connect();
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  std::string insert = "INSERT INTO t VALUES (0)";
+  for (int i = 1; i < 1000; ++i) insert += ", (" + std::to_string(i) + ")";
+  Exec(a.get(), "SET statement_timeout_ms 0");  // A's own, for the setup
+  Exec(a.get(), "CREATE TABLE t (id INT)");
+  Exec(a.get(), insert);
+
+  Result<client::ResultSet> off = a->Execute("SET statement_guard off");
+  EXPECT_EQ(off.status().code(), StatusCode::kInvalidArgument);
+  Result<client::ResultSet> scan =
+      b->Execute("SELECT tip_sleep_ms(1) FROM t");
+  EXPECT_EQ(scan.status().code(), StatusCode::kDeadlineExceeded);
+}
+
 // ---- Drain under load ------------------------------------------------------
 
 TEST_F(ServerFaultTest, DrainUnderLoadPreservesAckedWritesAndAbortsSleepers) {

@@ -945,7 +945,8 @@ TEST_F(ServerTest, CorruptFrameFailStopsOnlyThatSession) {
   ASSERT_NE(bystander, nullptr);
   Exec(bystander.get(), "CREATE TABLE t (id INT)");
 
-  // A hand-rolled session that sends a frame whose CRC does not match.
+  // A hand-rolled session that sends a well-formed Exec whose CRC does
+  // not match: the CRC is the only thing wrong with the frame.
   Result<int> fd = wire::DialTcp("127.0.0.1", server_->port(), 1000);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(wire::WriteFrame(*fd, wire::FrameType::kHello,
@@ -957,7 +958,7 @@ TEST_F(ServerTest, CorruptFrameFailStopsOnlyThatSession) {
   ASSERT_EQ(ok->type, wire::FrameType::kHelloOk);
 
   std::string frame;
-  std::string payload = "SELECT 1";
+  const std::string payload = wire::BuildExec("SELECT 1", {}, db_->types());
   engine::wire::PutU32(static_cast<uint32_t>(payload.size()), &frame);
   engine::wire::PutU8(static_cast<uint8_t>(wire::FrameType::kExec), &frame);
   engine::wire::PutU32(0xbad0bad0, &frame);  // wrong CRC

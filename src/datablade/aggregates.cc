@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -183,46 +185,109 @@ Status RegisterAggregates(engine::Database* db, const TipTypes& t) {
   return Status::OK();
 }
 
+namespace {
+
+using engine::IntervalKey;
+
+/// a - b, saturated to the int64 range.
+int64_t SaturatingSub(int64_t a, int64_t b) {
+  int64_t out;
+  if (__builtin_sub_overflow(a, b, &out)) {
+    return b < 0 ? INT64_MAX : INT64_MIN;
+  }
+  return out;
+}
+
+/// A key admitting no NOW: the value fails to ground under every one.
+void AdmitNone(IntervalKey* key) {
+  key->now_min = INT64_MAX;
+  key->now_max = INT64_MIN;
+}
+
+/// Widens `key` by one stored period, without grounding it: an absolute
+/// endpoint joins the absolute part of its bound, a NOW-relative one the
+/// NOW part, and narrows the admitted NOWs to those that keep NOW plus
+/// its offset inside the calendar (where Instant::Ground succeeds).
+void WidenByPeriod(const Period& p, IntervalKey* key) {
+  auto admit = [key](int64_t offset) {
+    key->now_min = std::max(
+        key->now_min, SaturatingSub(Chronon::Min().seconds(), offset));
+    key->now_max = std::min(
+        key->now_max, SaturatingSub(Chronon::Max().seconds(), offset));
+  };
+  if (p.start().is_absolute()) {
+    key->start = std::min(key->start, p.start().chronon().seconds());
+  } else {
+    const int64_t offset = p.start().offset().seconds();
+    key->now_start = std::min(key->now_start.value_or(offset), offset);
+    admit(offset);
+  }
+  if (p.end().is_absolute()) {
+    key->end = std::max(key->end, p.end().chronon().seconds());
+  } else {
+    const int64_t offset = p.end().offset().seconds();
+    key->now_end = std::max(key->now_end.value_or(offset), offset);
+    admit(offset);
+  }
+}
+
+}  // namespace
+
 Status RegisterAccessMethods(engine::Database* db, const TipTypes& t) {
-  // Bounding-interval key extractors: the support functions the interval
-  // access method needs for each indexable type. An Element's key is the
-  // extent of its grounded canonical form; empty elements are unindexed.
-  // Each extractor also reports whether its key depends on NOW, which is
-  // what lets the segmented index keep absolute rows out of the
-  // NOW-dependent overlay.
-  using engine::IntervalKey;
+  // NOW-free key extractors: the support functions the interval access
+  // method needs for each indexable type. They read the stored periods
+  // once and never ground them: the index evaluates a key at each
+  // probe's NOW. An Element's key spans all its periods, so it may be
+  // wider than the Element's extent at a NOW where one of its
+  // NOW-relative periods grounds inverted (and contributes nothing).
   TIP_RETURN_IF_ERROR(db->RegisterIntervalKeyFn(
-      t.element,
-      [](const Datum& v, const TxContext& ctx) -> Result<IntervalKey> {
-        const Element& element = GetElement(v);
-        const bool now_dep = !element.is_absolute();
-        TIP_ASSIGN_OR_RETURN(GroundedElement e, element.Ground(ctx));
-        if (e.IsEmpty()) return IntervalKey::Empty(now_dep);
-        GroundedPeriod extent = e.Extent();
-        return IntervalKey::Bounds(extent.start().seconds(),
-                                   extent.end().seconds(), now_dep);
+      t.element, [](const Datum& v) {
+        IntervalKey key;
+        for (const Period& p : GetElement(v).periods()) {
+          WidenByPeriod(p, &key);
+          // An inverted absolute period (only the unchecked Period
+          // constructor makes one) fails Element::Ground at every NOW.
+          if (p.is_absolute() && p.end().chronon() < p.start().chronon()) {
+            AdmitNone(&key);
+          }
+        }
+        return key;
       }));
   TIP_RETURN_IF_ERROR(db->RegisterIntervalKeyFn(
-      t.period,
-      [](const Datum& v, const TxContext& ctx) -> Result<IntervalKey> {
-        const Period& period = GetPeriod(v);
-        TIP_ASSIGN_OR_RETURN(GroundedPeriod p, period.Ground(ctx));
-        return IntervalKey::Bounds(p.start().seconds(), p.end().seconds(),
-                                   !period.is_absolute());
+      t.period, [](const Datum& v) {
+        const Period& p = GetPeriod(v);
+        IntervalKey key;
+        WidenByPeriod(p, &key);
+        // Period::Ground fails once the grounded start passes the end:
+        // admit only the NOWs that keep them in order.
+        const Instant& s = p.start();
+        const Instant& e = p.end();
+        if (s.is_absolute() && e.is_absolute()) {
+          if (e.chronon() < s.chronon()) AdmitNone(&key);
+        } else if (s.is_absolute()) {  // s <= NOW + b
+          key.now_min = std::max(key.now_min,
+                                 SaturatingSub(s.chronon().seconds(),
+                                               e.offset().seconds()));
+        } else if (e.is_absolute()) {  // NOW + a <= e
+          key.now_max = std::min(key.now_max,
+                                 SaturatingSub(e.chronon().seconds(),
+                                               s.offset().seconds()));
+        } else if (e.offset() < s.offset()) {
+          AdmitNone(&key);
+        }
+        return key;
       }));
   TIP_RETURN_IF_ERROR(db->RegisterIntervalKeyFn(
-      t.instant,
-      [](const Datum& v, const TxContext& ctx) -> Result<IntervalKey> {
+      t.instant, [](const Datum& v) {
         const Instant& instant = GetInstant(v);
-        TIP_ASSIGN_OR_RETURN(Chronon c, instant.Ground(ctx));
-        return IntervalKey::Bounds(c.seconds(), c.seconds(),
-                                   instant.is_now_relative());
+        IntervalKey key;
+        WidenByPeriod(Period(instant, instant), &key);
+        return key;
       }));
   TIP_RETURN_IF_ERROR(db->RegisterIntervalKeyFn(
-      t.chronon,
-      [](const Datum& v, const TxContext&) -> Result<IntervalKey> {
+      t.chronon, [](const Datum& v) {
         const int64_t s = GetChronon(v).seconds();
-        return IntervalKey::Bounds(s, s, /*now_dependent=*/false);
+        return IntervalKey::Absolute(s, s);
       }));
   return Status::OK();
 }

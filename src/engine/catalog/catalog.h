@@ -26,19 +26,17 @@ struct Column {
   TypeId type;
 };
 
-/// A secondary interval index over one column, segmented into a
-/// persistent absolute part and a NOW-dependent overlay (see
-/// IntervalIndexState). The index materializes lazily; a table write
-/// is replayed into both segments' deltas, a change of the transaction
-/// time re-grounds only the overlay. (Indexing NOW-relative data is the
-/// difficulty Bliujute et al. discuss; segmenting confines the
-/// NOW-induced churn to the rows that actually mention NOW.)
+/// A secondary interval index over one column (see IntervalIndexState).
+/// The index materializes lazily and a table write is replayed into its
+/// delta. (Indexing NOW-relative data is the difficulty Bliujute et al.
+/// discuss; keying each row without a NOW and evaluating the key at each
+/// probe's NOW leaves a change of the transaction time nothing to redo.)
 struct IntervalIndexDef {
   std::string name;
   size_t column;
   IntervalKeyFn key_fn;
 
-  /// Lazily built segments + counters. Behind a pointer both to keep
+  /// Lazily built segment + counters. Behind a pointer both to keep
   /// the def movable (std::mutex is not) and to give the const query
   /// path interior mutability without `mutable` members.
   std::unique_ptr<IntervalIndexState> state;
@@ -71,10 +69,8 @@ class Table {
   Status DropIndex(std::string_view index_name);
 
   /// Returns a probe view over the (lazily rebuilt) interval index on
-  /// `column`, consistent with transaction time `ctx`; NotFound if no
-  /// index covers the column. Rebuild failures (a stored value failing
-  /// to ground) surface as an error and leave the previous index state
-  /// intact. Safe to call concurrently from multiple threads.
+  /// `column`, answering at transaction time `ctx`; NotFound if no index
+  /// covers the column. Safe to call concurrently from multiple threads.
   Result<IntervalIndexView> GetIntervalIndex(size_t column,
                                              const TxContext& ctx) const;
 

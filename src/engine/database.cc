@@ -1405,9 +1405,7 @@ Status Database::AttachDurableDir(const std::string& dir,
                        Wal::Open(wal_path, scan, replay, checkpoint_lsn));
 
   // Warm every interval index once, after the last replayed write, so
-  // recovery pays one rebuild per index instead of one per replayed
-  // statement on first use. Failures are non-fatal: the index rebuilds
-  // lazily on first probe anyway.
+  // the first probe after recovery finds it built.
   const TxContext tx = CurrentTx();
   for (const std::string& name : catalog_.TableNames()) {
     Result<Table*> table = catalog_.GetTable(name);

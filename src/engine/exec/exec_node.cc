@@ -103,12 +103,9 @@ Status IntervalScanNode::Open(ExecState& state) {
   TIP_ASSIGN_OR_RETURN(const Datum* probe,
                        probe_->Eval(tuple, *state.eval, &slot));
   if (probe->is_null()) return Status::OK();  // no matches
-  Result<IntervalKey> key = probe_key_fn_(*probe, state.eval->tx);
-  if (!key.ok()) return key.status();
-  if (key->empty) return Status::OK();
   TIP_ASSIGN_OR_RETURN(IntervalIndexView index,
                        table_->GetIntervalIndex(column_, state.eval->tx));
-  index.FindOverlapping(key->start, key->end, &matches_);
+  index.FindOverlapping(probe_key_fn_(*probe), &matches_);
   return Status::OK();
 }
 
@@ -356,9 +353,7 @@ Status IntervalJoinProbe::FindCandidates(
   candidates->clear();
   Datum slot;
   TIP_ASSIGN_OR_RETURN(const Datum* value, probe->Eval(left, ctx, &slot));
-  if (value->is_null()) return Status::OK();
-  TIP_ASSIGN_OR_RETURN(IntervalKey key, key_fn(*value, ctx.tx));
-  if (!key.empty) index.FindOverlapping(key.start, key.end, candidates);
+  if (!value->is_null()) index.FindOverlapping(key_fn(*value), candidates);
   return Status::OK();
 }
 

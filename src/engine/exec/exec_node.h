@@ -99,10 +99,12 @@ class SeqScanNode final : public ExecNode {
   HeapTable::Cursor cursor_;
 };
 
-/// Index scan: probes the interval index on `column` with the interval
-/// covered by the probe expression's value, yielding only rows whose
-/// bounding periods overlap it. Callers add a residual filter for exact
-/// semantics (an Element's bounding period over-approximates its gaps).
+/// Index scan: probes the interval index on `column` with the key of
+/// the probe expression's value, yielding only rows whose keys overlap
+/// it at the statement's NOW. Callers add a residual filter for exact
+/// semantics (an Element's key over-approximates its gaps) and for the
+/// grounding errors a scan would report (see
+/// IntervalIndexView::FindOverlapping).
 class IntervalScanNode final : public ExecNode {
  public:
   IntervalScanNode(const Table* table, size_t column, BoundExprPtr probe,
@@ -272,8 +274,9 @@ struct IntervalJoinProbe {
   IntervalKeyFn key_fn;
   BoundExprPtr residual;  // over the combined row; may be null
 
-  /// Replaces *candidates with the right rows whose bounding intervals
-  /// overlap the probe value of `left` (none when it is NULL or empty).
+  /// Replaces *candidates with the right rows `index` finds for the
+  /// probe value of `left` (none when it is NULL; see
+  /// IntervalIndexView::FindOverlapping).
   Status FindCandidates(const IntervalIndexView& index, const TupleCtx& left,
                         EvalContext& ctx,
                         std::vector<RowId>* candidates) const;

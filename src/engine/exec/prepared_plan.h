@@ -49,8 +49,8 @@ struct PlanCacheStats {
 ///
 /// NOW-relative plans are *not* invalidated by time passing or SET NOW:
 /// nothing NOW-dependent is folded at plan time — every execution
-/// builds a fresh EvalContext whose TxContext re-grounds NOW, the same
-/// absolute/overlay split the segmented interval index uses.
+/// builds a fresh EvalContext whose TxContext re-grounds NOW, as the
+/// interval index evaluates its NOW-free keys at each view's NOW.
 class PreparedPlan {
  public:
   /// One planned incarnation of the statement. Operator trees are

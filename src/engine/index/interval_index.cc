@@ -1,95 +1,112 @@
 #include "engine/index/interval_index.h"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
 
 namespace tip::engine {
 
 IntervalIndex IntervalIndex::Build(std::vector<IntervalEntry> entries) {
   IntervalIndex index;
-  index.entry_count_ = entries.size();
-  index.root_ = BuildNode(std::move(entries));
+  index.entries_ = std::move(entries);
+  index.by_end_.resize(index.entries_.size());
+  index.BuildNode(0, index.entries_.size());
+  index.filed_.reserve(index.entries_.size());
+  for (const IntervalEntry& e : index.entries_) {
+    index.filed_.push_back(FiledUnder(e));
+  }
   return index;
 }
 
-std::unique_ptr<IntervalIndex::Node> IntervalIndex::BuildNode(
-    std::vector<IntervalEntry> entries) {
-  if (entries.empty()) return nullptr;
+IntervalIndex::Filed IntervalIndex::FiledUnder(const IntervalEntry& e) {
+  const int64_t lo = e.key.now_start ? INT64_MIN : e.key.start;
+  const int64_t hi = e.key.now_end ? INT64_MAX : e.key.end;
+  if (lo > hi) return {INT64_MAX, INT64_MAX, e.row};
+  return {lo, hi, e.row};
+}
+
+int32_t IntervalIndex::BuildNode(size_t begin, size_t end) {
+  if (begin == end) return -1;
+  const auto first = entries_.begin() + static_cast<ptrdiff_t>(begin);
+  const auto last = entries_.begin() + static_cast<ptrdiff_t>(end);
+  auto filed_start = [](const IntervalEntry& e) { return FiledUnder(e).start; };
+  auto filed_end = [](const IntervalEntry& e) { return FiledUnder(e).end; };
 
   // Use the median interval start as the center; this keeps the tree
   // balanced for the common case of roughly uniform starts.
-  std::vector<int64_t> starts;
-  starts.reserve(entries.size());
-  for (const IntervalEntry& e : entries) starts.push_back(e.start);
-  auto mid = starts.begin() + static_cast<ptrdiff_t>(starts.size() / 2);
-  std::nth_element(starts.begin(), mid, starts.end());
-  const int64_t center = *mid;
-
-  auto node = std::make_unique<Node>();
-  node->center = center;
-  std::vector<IntervalEntry> left_entries;
-  std::vector<IntervalEntry> right_entries;
-  for (IntervalEntry& e : entries) {
-    if (e.end < center) {
-      left_entries.push_back(e);
-    } else if (e.start > center) {
-      right_entries.push_back(e);
-    } else {
-      node->by_start.push_back(e);
-    }
+  int64_t center;
+  {
+    std::vector<int64_t> starts;
+    starts.reserve(end - begin);
+    for (auto it = first; it != last; ++it) starts.push_back(filed_start(*it));
+    auto mid = starts.begin() + static_cast<ptrdiff_t>(starts.size() / 2);
+    std::nth_element(starts.begin(), mid, starts.end());
+    center = *mid;
   }
-  // Degenerate safeguard: if every interval straddles the center, the
-  // recursion terminates because both child vectors are empty.
-  node->by_end = node->by_start;
-  std::sort(node->by_start.begin(), node->by_start.end(),
-            [](const IntervalEntry& a, const IntervalEntry& b) {
-              return a.start < b.start;
+
+  // Group the range in place: intervals entirely below the center, those
+  // containing it (never none: the median start's interval is one),
+  // those entirely above.
+  const auto here = std::partition(first, last, [&](const IntervalEntry& e) {
+    return filed_end(e) < center;
+  });
+  const auto above = std::partition(here, last, [&](const IntervalEntry& e) {
+    return filed_start(e) <= center;
+  });
+  std::sort(here, above, [&](const IntervalEntry& a, const IntervalEntry& b) {
+    return filed_start(a) < filed_start(b);
+  });
+  const auto here_begin = static_cast<uint32_t>(here - entries_.begin());
+  const auto here_end = static_cast<uint32_t>(above - entries_.begin());
+  const auto by_end = by_end_.begin();
+  std::iota(by_end + here_begin, by_end + here_end, here_begin);
+  std::sort(by_end + here_begin, by_end + here_end,
+            [&](uint32_t a, uint32_t b) {
+              return filed_end(entries_[a]) > filed_end(entries_[b]);
             });
-  std::sort(node->by_end.begin(), node->by_end.end(),
-            [](const IntervalEntry& a, const IntervalEntry& b) {
-              return a.end > b.end;
-            });
-  node->left = BuildNode(std::move(left_entries));
-  node->right = BuildNode(std::move(right_entries));
+
+  const auto node = static_cast<int32_t>(nodes_.size());
+  nodes_.push_back(Node{center, here_begin, here_end, -1, -1});
+  const int32_t left = BuildNode(begin, here_begin);
+  const int32_t right = BuildNode(here_end, end);
+  nodes_[static_cast<size_t>(node)].left = left;
+  nodes_[static_cast<size_t>(node)].right = right;
   return node;
 }
 
-void IntervalIndex::Query(const Node* node, int64_t qs, int64_t qe,
-                          std::vector<RowId>* out) {
-  while (node != nullptr) {
-    if (qe < node->center) {
+void IntervalIndex::Query(int32_t n, int64_t qs, int64_t qe, int64_t now,
+                          std::vector<RowId>* out) const {
+  // A hit filed under a finite interval is exact; one filed unbounded
+  // has a NOW part, or covers no time, and its key decides.
+  auto emit = [&](uint32_t i) {
+    const Filed& f = filed_[i];
+    if ((f.start != INT64_MIN && f.end != INT64_MAX) ||
+        entries_[i].key.OverlapsAt(now, qs, qe)) {
+      out->push_back(f.row);
+    }
+  };
+  while (n >= 0) {
+    const Node& node = nodes_[static_cast<size_t>(n)];
+    if (qe < node.center) {
       // Only intervals starting at or before qe can overlap the query.
-      for (const IntervalEntry& e : node->by_start) {
-        if (e.start > qe) break;
-        out->push_back(e.row);
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        if (filed_[i].start > qe) break;
+        emit(i);
       }
-      node = node->left.get();
-    } else if (qs > node->center) {
+      n = node.left;
+    } else if (qs > node.center) {
       // Only intervals ending at or after qs can overlap the query.
-      for (const IntervalEntry& e : node->by_end) {
-        if (e.end < qs) break;
-        out->push_back(e.row);
+      for (uint32_t k = node.begin; k < node.end; ++k) {
+        if (filed_[by_end_[k]].end < qs) break;
+        emit(by_end_[k]);
       }
-      node = node->right.get();
+      n = node.right;
     } else {
       // The query straddles the center: every interval here overlaps.
-      for (const IntervalEntry& e : node->by_start) {
-        out->push_back(e.row);
-      }
-      Query(node->left.get(), qs, qe, out);
-      node = node->right.get();
+      for (uint32_t i = node.begin; i < node.end; ++i) emit(i);
+      Query(node.left, qs, qe, now, out);
+      n = node.right;
     }
   }
-}
-
-void IntervalIndex::FindOverlapping(int64_t qs, int64_t qe,
-                                    std::vector<RowId>* out) const {
-  assert(qs <= qe);
-  Query(root_.get(), qs, qe, out);
-}
-
-void IntervalIndex::FindStabbing(int64_t q, std::vector<RowId>* out) const {
-  FindOverlapping(q, q, out);
 }
 
 }  // namespace tip::engine

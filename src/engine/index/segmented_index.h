@@ -1,15 +1,14 @@
 #ifndef TIP_ENGINE_INDEX_SEGMENTED_INDEX_H_
 #define TIP_ENGINE_INDEX_SEGMENTED_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/tx_context.h"
 #include "engine/index/interval_index.h"
 #include "engine/metrics.h"
@@ -18,49 +17,17 @@
 
 namespace tip::engine {
 
-/// The index key an access-method support function extracts from one
-/// value: the closed bounding interval of the time the value covers, or
-/// "empty" when it covers none under the given context (an empty
-/// Element, or a NOW-relative period that grounds inverted). The
-/// `now_dependent` bit reports whether the key is a function of the
-/// transaction time — a NOW-relative value's bounding interval moves as
-/// NOW does, an absolute value's never does. The segmented index uses it
-/// to decide which segment a row belongs to.
-struct IntervalKey {
-  int64_t start = 0;
-  int64_t end = 0;  // inclusive; meaningful only when !empty
-  bool empty = false;
-  bool now_dependent = false;
-
-  static IntervalKey Bounds(int64_t start, int64_t end, bool now_dependent) {
-    IntervalKey key;
-    key.start = start;
-    key.end = end;
-    key.now_dependent = now_dependent;
-    return key;
-  }
-  /// A value covering no time. It still carries `now_dependent`: an
-  /// empty NOW-relative value may become non-empty under another NOW.
-  static IntervalKey Empty(bool now_dependent) {
-    IntervalKey key;
-    key.empty = true;
-    key.now_dependent = now_dependent;
-    return key;
-  }
-};
-
-/// Extracts the IntervalKey of an indexable value (grounded under
-/// `ctx`). This is the "access method support function" an index
-/// DataBlade registers for its types. NULL datums are never passed in.
-using IntervalKeyFn =
-    std::function<Result<IntervalKey>(const Datum&, const TxContext&)>;
+/// Reads the NOW-free IntervalKey of an indexable value. This is the
+/// "access method support function" an index DataBlade registers for
+/// its types. NULL datums are never passed in.
+using IntervalKeyFn = std::function<IntervalKey(const Datum&)>;
 
 /// A point-in-time copy of one index's counters.
 struct IndexStatsSnapshot {
-  uint64_t absolute_builds = 0;  // full scans building the absolute segment
-  uint64_t overlay_builds = 0;   // NOW-dependent overlay (re)builds
-  uint64_t probes = 0;           // FindOverlapping/FindStabbing calls
-  uint64_t rows_scanned = 0;     // heap rows examined during builds
+  uint64_t absolute_builds = 0;  // full builds, one heap scan each
+  uint64_t overlay_builds = 0;   // full builds that keyed NOW-relative rows
+  uint64_t probes = 0;           // FindOverlapping calls
+  uint64_t rows_scanned = 0;     // heap rows keyed by builds and catch-ups
   uint64_t rows_returned = 0;    // candidate row ids produced by probes
 };
 
@@ -73,12 +40,11 @@ Metrics IndexMetrics(const IndexStatsSnapshot& stats);
 /// uniformity.
 class IndexStats {
  public:
-  void RecordAbsoluteBuild(uint64_t rows_scanned) {
+  void RecordBuild(uint64_t rows_scanned, bool keyed_now_relative_rows) {
     absolute_builds_.fetch_add(1, std::memory_order_relaxed);
-    rows_scanned_.fetch_add(rows_scanned, std::memory_order_relaxed);
-  }
-  void RecordOverlayBuild(uint64_t rows_scanned) {
-    overlay_builds_.fetch_add(1, std::memory_order_relaxed);
+    if (keyed_now_relative_rows) {
+      overlay_builds_.fetch_add(1, std::memory_order_relaxed);
+    }
     rows_scanned_.fetch_add(rows_scanned, std::memory_order_relaxed);
   }
   /// A catch-up re-keyed `rows_scanned` changed rows.
@@ -101,116 +67,107 @@ class IndexStats {
 };
 
 /// A full rebuild replaces catch-up once the delta — hidden rows plus
-/// delta entries, summed over both segments — exceeds the larger of
-/// kMinDeltaRebuildRows and 1/kDeltaRebuildFraction of the rows the
-/// last full build scanned. Past that, the per-probe cost of skipping
-/// hidden rows and scanning the delta outweighs a rebuild.
+/// delta entries — exceeds the larger of kMinDeltaRebuildRows and
+/// 1/kDeltaRebuildFraction of the rows the last full build scanned. Past
+/// that, the per-probe cost of skipping hidden rows and scanning the
+/// delta outweighs a rebuild.
 inline constexpr size_t kDeltaRebuildFraction = 8;
 inline constexpr size_t kMinDeltaRebuildRows = 64;
 
-/// One immutable segment of an interval index: a tree built from the
+/// An immutable snapshot of an interval index: a tree built from the
 /// heap, plus the delta a catch-up patched in (see segmented_index.cc).
 struct IndexSegment;
 
-/// An immutable probe view over the two segments of a segmented
-/// interval index, consistent as of one (heap version, NOW) pair.
-/// Copyable and cheap: it shares ownership of both segments, so a view
-/// keeps answering from its snapshot even after later GetView calls
-/// publish caught-up or rebuilt segments.
+/// An immutable probe view over an interval index, consistent as of one
+/// heap version and answering at one transaction time NOW. Copyable and
+/// cheap: it shares ownership of its segment, so a view keeps answering
+/// from its snapshot even after later GetView calls publish caught-up or
+/// rebuilt segments.
 class IntervalIndexView {
  public:
   IntervalIndexView() = default;
-  IntervalIndexView(std::shared_ptr<const IndexSegment> absolute,
-                    std::shared_ptr<const IndexSegment> overlay,
-                    std::shared_ptr<IndexStats> stats)
-      : absolute_(std::move(absolute)),
-        overlay_(std::move(overlay)),
+  IntervalIndexView(std::shared_ptr<const IndexSegment> segment, int64_t now,
+                    bool prunes, std::shared_ptr<IndexStats> stats)
+      : segment_(std::move(segment)),
+        now_(now),
+        prunes_(prunes),
         stats_(std::move(stats)) {}
 
-  /// Appends the rows of every entry overlapping [qs, qe] from both
-  /// segments to `out` (order unspecified). Requires qs <= qe.
-  void FindOverlapping(int64_t qs, int64_t qe, std::vector<RowId>* out) const;
+  /// Appends to `out` (order unspecified) the rows whose keys, evaluated
+  /// at the view's NOW, overlap the probe key evaluated there: a
+  /// superset of the rows whose values overlap the probe value. Appends
+  /// none when the probe covers no time. When the probe or some indexed
+  /// value cannot be grounded at this NOW, no row can be ruled out: the
+  /// view appends every indexed row in heap order, so the caller's exact
+  /// predicate reports the grounding error a scan would.
+  void FindOverlapping(const IntervalKey& probe,
+                       std::vector<RowId>* out) const;
 
-  /// Appends the rows of every entry containing chronon `q`.
-  void FindStabbing(int64_t q, std::vector<RowId>* out) const {
-    FindOverlapping(q, q, out);
-  }
-
-  /// Live entries across both segments: tree entries of rows not
-  /// hidden, plus the deltas. O(entries); not counted as a probe.
-  size_t entry_count() const;
+  /// Every live entry, whatever the NOW. Not counted as a probe.
+  std::vector<IntervalEntry> Entries() const;
 
  private:
-  std::shared_ptr<const IndexSegment> absolute_;
-  std::shared_ptr<const IndexSegment> overlay_;
+  std::shared_ptr<const IndexSegment> segment_;
+  int64_t now_ = 0;
+  bool prunes_ = true;  // false: some live key does not admit now_
   std::shared_ptr<IndexStats> stats_;
 };
 
-/// The lazily built, mutex-guarded state of one segmented interval
-/// index:
+/// The lazily built, mutex-guarded state of one interval index.
 ///
-///  * the *absolute segment* — rows whose key does not depend on NOW —
-///    built by a full heap scan and reused across NOW changes;
-///  * the *NOW-dependent overlay* — the (typically few) rows whose key
-///    moves with the transaction time — re-grounded whenever the NOW a
-///    query runs under differs from the one it was built at.
-///
-/// This is what keeps the paper's NOW-override what-if browsing cheap:
-/// re-evaluating the same query under many transaction times re-grounds
-/// only the NOW-relative rows instead of rebuilding the whole index.
+/// Each row is keyed once, without a NOW: a NOW-relative row's key is
+/// evaluated at each view's own NOW, so the paper's NOW-override
+/// what-if browsing costs nothing per NOW, and sessions at different
+/// NOWs share one index.
 ///
 /// Writes do not force a rebuild either. A view requested after writes
 /// asks the heap's change log which rows changed, hides their old
-/// entries in both segments and re-keys the live ones into the delta of
-/// the segment they now belong to. A full rebuild happens only when the
-/// heap cannot say (log overflow, ROLLBACK), when the delta outgrows
-/// kDeltaRebuildFraction, on first use and after Discard.
+/// entries and re-keys the live ones into the delta. A full rebuild
+/// happens only when the heap cannot say (log overflow, ROLLBACK), when
+/// the delta outgrows kDeltaRebuildFraction, on first use and after
+/// Discard.
 ///
-/// Updates are atomic: new segments are staged in locals and swapped
-/// in only on success, so a key-extraction error leaves the previous
-/// consistent state untouched. All decisions and swaps happen under an
-/// internal mutex, making concurrent GetView calls from multiple query
-/// threads safe.
+/// All decisions and swaps happen under an internal mutex, making
+/// concurrent GetView calls from multiple query threads safe.
 class IntervalIndexState {
  public:
-  IntervalIndexState() = default;
-
-  IntervalIndexState(const IntervalIndexState&) = delete;
-  IntervalIndexState& operator=(const IntervalIndexState&) = delete;
-
   /// Returns a probe view consistent with `heap`'s current version and
-  /// `ctx`'s transaction time, catching up or rebuilding the stale
-  /// segment(s) first. `column` selects the indexed column; `key_fn`
-  /// extracts keys.
-  Result<IntervalIndexView> GetView(const HeapTable& heap, size_t column,
-                                    const IntervalKeyFn& key_fn,
-                                    const TxContext& ctx);
+  /// answering at `ctx`'s transaction time, catching up or rebuilding
+  /// first. `column` selects the indexed column; `key_fn` extracts keys.
+  IntervalIndexView GetView(const HeapTable& heap, size_t column,
+                            const IntervalKeyFn& key_fn,
+                            const TxContext& ctx);
 
-  /// Drops the segments, so the next GetView rebuilds from the heap.
+  /// Drops the segment, so the next GetView rebuilds from the heap.
   /// CHECK calls this on an index it found inconsistent.
   void Discard();
 
   IndexStatsSnapshot stats() const { return stats_->Snapshot(); }
 
  private:
-  Status Rebuild(const HeapTable& heap, size_t column,
-                 const IntervalKeyFn& key_fn, const TxContext& ctx);
-  Status CatchUp(const HeapTable& heap, size_t column,
-                 const IntervalKeyFn& key_fn, const TxContext& ctx,
-                 std::vector<RowId> changed);
+  void Rebuild(const HeapTable& heap, size_t column,
+               const IntervalKeyFn& key_fn);
+  void CatchUp(const HeapTable& heap, size_t column,
+               const IntervalKeyFn& key_fn, std::vector<RowId> changed);
+  /// Narrows [now_min_, now_max_] to the NOWs `key` admits.
+  void Admit(const IntervalKey& key) {
+    now_min_ = std::max(now_min_, key.now_min);
+    now_max_ = std::min(now_max_, key.now_max);
+  }
+  /// Sets [now_min_, now_max_] to the NOWs every key of the segment
+  /// admits.
+  void AdmitAll();
 
   std::mutex mu_;
 
-  // Both segments are null until the first build and after Discard.
-  // They reflect heap version version_; the overlay's entries are
-  // grounded at transaction time now_.
-  std::shared_ptr<const IndexSegment> absolute_;
-  std::shared_ptr<const IndexSegment> overlay_;
+  // Null until the first build and after Discard; reflects heap version
+  // version_.
+  std::shared_ptr<const IndexSegment> segment_;
   uint64_t version_ = 0;
-  int64_t now_ = 0;
-  // Every live row whose key depends on NOW, sorted: what the overlay
-  // re-grounds when NOW moves.
-  std::vector<RowId> now_rows_;
+  // NOWs every key of the segment admits. Catch-ups only narrow the
+  // range, so it may be narrower than the keys need.
+  int64_t now_min_ = INT64_MIN;
+  int64_t now_max_ = INT64_MAX;
   // The churn at which a catch-up becomes a full rebuild.
   size_t churn_limit_ = 0;
 

@@ -1,9 +1,8 @@
 #include "engine/storage/integrity.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 
 #include "common/durable_fs.h"
@@ -34,11 +33,12 @@ std::string Hex64(uint64_t v) {
 
 // -- Online table scrub ------------------------------------------------------
 
-/// Cross-checks one interval index against the heap, both directions.
-/// Appends failures to `finding`; returns non-OK only for guard trips
-/// and index rebuild errors. An index found inconsistent drops its
-/// segments, so the next probe rebuilds it from the heap — the source
-/// of truth — instead of serving the rot until a full rebuild.
+/// Cross-checks one interval index against the heap, both directions,
+/// whatever the CHECK's NOW: entries are enumerated and compared as
+/// stored, never evaluated at a NOW. Appends failures to `finding`;
+/// returns non-OK only for guard trips. An index found inconsistent
+/// drops its segment, so the next probe rebuilds it from the heap — the
+/// source of truth — instead of serving the rot until a full rebuild.
 Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
                      EvalContext* eval, CheckFinding* finding) {
   const TxContext tx = eval != nullptr ? eval->tx : db->CurrentTx();
@@ -53,23 +53,23 @@ Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
     finding->detail += "index '" + def.name + "': " + std::move(what);
   };
 
-  // Backward: every entry in the index must address a live heap row.
-  // One full-range probe enumerates both segments.
-  std::vector<RowId> indexed;
-  view.FindOverlapping(INT64_MIN, INT64_MAX, &indexed);
-  std::unordered_set<RowId> indexed_set;
-  indexed_set.reserve(indexed.size());
-  for (RowId id : indexed) {
+  // Backward: every entry in the index must address a live heap row,
+  // and no row may have two.
+  std::unordered_map<RowId, IntervalKey> indexed;
+  for (const IntervalEntry& entry : view.Entries()) {
     if (eval != nullptr) TIP_RETURN_IF_ERROR(eval->CheckGuard());
-    if (table->heap().Get(id) == nullptr) {
-      fail("entry for row id " + std::to_string(id) +
+    if (table->heap().Get(entry.row) == nullptr) {
+      fail("entry for row id " + std::to_string(entry.row) +
            " which is not a live heap row");
     }
-    indexed_set.insert(id);
+    if (!indexed.emplace(entry.row, entry.key).second) {
+      fail("row id " + std::to_string(entry.row) + " is indexed twice");
+    }
   }
 
-  // Forward: every live row whose key grounds non-empty must be
-  // reachable through the index.
+  // Forward: every live row with a value must be indexed under exactly
+  // the key its value has (a stale key would answer probes wrongly even
+  // though the row id is present).
   HeapTable::Cursor cursor = table->heap().Scan();
   RowId id;
   const Row* row;
@@ -77,22 +77,13 @@ Status CheckOneIndex(Database* db, Table* table, const IntervalIndexDef& def,
     if (eval != nullptr) TIP_RETURN_IF_ERROR(eval->CheckGuard());
     const Datum& value = (*row)[def.column];
     if (value.is_null()) continue;
-    TIP_ASSIGN_OR_RETURN(IntervalKey key, def.key_fn(value, tx));
-    if (key.empty) continue;
-    if (indexed_set.count(id) == 0) {
+    auto it = indexed.find(id);
+    if (it == indexed.end()) {
       fail("live row id " + std::to_string(id) +
-           " with key [" + std::to_string(key.start) + ", " +
-           std::to_string(key.end) + "] is missing from the index");
-      continue;
-    }
-    // The entry exists; confirm the interval actually stored for it
-    // covers the key (a stale segment would answer range probes
-    // wrongly even though the row id is present somewhere).
-    std::vector<RowId> hits;
-    view.FindOverlapping(key.start, key.end, &hits);
-    if (std::find(hits.begin(), hits.end(), id) == hits.end()) {
+           " is missing from the index");
+    } else if (it->second != def.key_fn(value)) {
       fail("live row id " + std::to_string(id) +
-           " is indexed under an interval that does not overlap its key");
+           " is indexed under a key its value does not have");
     }
   }
   if (!consistent) def.state->Discard();

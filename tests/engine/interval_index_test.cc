@@ -23,11 +23,19 @@ std::vector<RowId> Sorted(std::vector<RowId> v) {
   return v;
 }
 
+/// Where a probe's NOW does not matter: every key is absolute.
+constexpr int64_t kAnyNow = 0;
+
+/// The entry of `row` covering [start, end] under every NOW.
+IntervalEntry Entry(int64_t start, int64_t end, RowId row) {
+  return {IntervalKey::Absolute(start, end), row};
+}
+
 std::vector<RowId> BruteForce(const std::vector<IntervalEntry>& entries,
                               int64_t qs, int64_t qe) {
   std::vector<RowId> out;
   for (const IntervalEntry& e : entries) {
-    if (e.start <= qe && qs <= e.end) out.push_back(e.row);
+    if (e.key.start <= qe && qs <= e.key.end) out.push_back(e.row);
   }
   return Sorted(std::move(out));
 }
@@ -36,50 +44,51 @@ TEST(IntervalIndexTest, EmptyIndex) {
   IntervalIndex index = IntervalIndex::Build({});
   EXPECT_TRUE(index.empty());
   std::vector<RowId> out;
-  index.FindOverlapping(0, 100, &out);
+  index.FindOverlapping(0, 100, kAnyNow, &out);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(IntervalIndexTest, SingleEntry) {
-  IntervalIndex index = IntervalIndex::Build({{10, 20, 1}});
+  IntervalIndex index = IntervalIndex::Build({Entry(10, 20, 1)});
   std::vector<RowId> out;
-  index.FindOverlapping(20, 30, &out);
+  index.FindOverlapping(20, 30, kAnyNow, &out);
   EXPECT_EQ(out, std::vector<RowId>{1});
   out.clear();
-  index.FindOverlapping(21, 30, &out);
+  index.FindOverlapping(21, 30, kAnyNow, &out);
   EXPECT_TRUE(out.empty());
   out.clear();
-  index.FindStabbing(15, &out);
+  index.FindOverlapping(15, 15, kAnyNow, &out);
   EXPECT_EQ(out, std::vector<RowId>{1});
 }
 
 TEST(IntervalIndexTest, KnownLayout) {
   std::vector<IntervalEntry> entries = {
-      {1, 5, 10}, {3, 9, 11}, {8, 12, 12}, {15, 15, 13}, {20, 30, 14},
+      Entry(1, 5, 10),   Entry(3, 9, 11),   Entry(8, 12, 12),
+      Entry(15, 15, 13), Entry(20, 30, 14),
   };
   IntervalIndex index = IntervalIndex::Build(entries);
-  EXPECT_EQ(index.entry_count(), 5u);
+  EXPECT_EQ(index.entries().size(), 5u);
   std::vector<RowId> out;
-  index.FindOverlapping(4, 8, &out);
+  index.FindOverlapping(4, 8, kAnyNow, &out);
   EXPECT_EQ(Sorted(out), (std::vector<RowId>{10, 11, 12}));
   out.clear();
-  index.FindOverlapping(13, 19, &out);
+  index.FindOverlapping(13, 19, kAnyNow, &out);
   EXPECT_EQ(Sorted(out), std::vector<RowId>{13});
   out.clear();
-  index.FindOverlapping(31, 40, &out);
+  index.FindOverlapping(31, 40, kAnyNow, &out);
   EXPECT_TRUE(out.empty());
 }
 
 TEST(IntervalIndexTest, AllIntervalsIdentical) {
   // Degenerate balance case: every interval straddles every center.
   std::vector<IntervalEntry> entries;
-  for (RowId r = 0; r < 100; ++r) entries.push_back({50, 60, r});
+  for (RowId r = 0; r < 100; ++r) entries.push_back(Entry(50, 60, r));
   IntervalIndex index = IntervalIndex::Build(entries);
   std::vector<RowId> out;
-  index.FindOverlapping(55, 55, &out);
+  index.FindOverlapping(55, 55, kAnyNow, &out);
   EXPECT_EQ(out.size(), 100u);
   out.clear();
-  index.FindOverlapping(0, 49, &out);
+  index.FindOverlapping(0, 49, kAnyNow, &out);
   EXPECT_TRUE(out.empty());
 }
 
@@ -93,14 +102,14 @@ TEST_P(IntervalIndexPropertyTest, AgreesWithBruteForce) {
   for (RowId r = 0; r < n; ++r) {
     int64_t s = rng.Uniform(0, 1000);
     int64_t e = s + rng.Uniform(0, 80);
-    entries.push_back({s, e, r});
+    entries.push_back(Entry(s, e, r));
   }
   IntervalIndex index = IntervalIndex::Build(entries);
   for (int q = 0; q < 200; ++q) {
     int64_t qs = rng.Uniform(-50, 1100);
     int64_t qe = qs + rng.Uniform(0, 120);
     std::vector<RowId> got;
-    index.FindOverlapping(qs, qe, &got);
+    index.FindOverlapping(qs, qe, kAnyNow, &got);
     EXPECT_EQ(Sorted(got), BruteForce(entries, qs, qe))
         << "query [" << qs << ", " << qe << "]";
   }
@@ -111,26 +120,101 @@ TEST_P(IntervalIndexPropertyTest, StabbingAgreesWithBruteForce) {
   std::vector<IntervalEntry> entries;
   for (RowId r = 0; r < 200; ++r) {
     int64_t s = rng.Uniform(0, 500);
-    entries.push_back({s, s + rng.Uniform(0, 40), r});
+    entries.push_back(Entry(s, s + rng.Uniform(0, 40), r));
   }
   IntervalIndex index = IntervalIndex::Build(entries);
   for (int64_t q = -10; q <= 560; q += 7) {
     std::vector<RowId> got;
-    index.FindStabbing(q, &got);
+    index.FindOverlapping(q, q, kAnyNow, &got);
     EXPECT_EQ(Sorted(got), BruteForce(entries, q, q));
+  }
+}
+
+TEST_P(IntervalIndexPropertyTest, NowRelativeKeysAgreeWithBruteForce) {
+  // Keys with a NOW part on either side, or both, beside absolute ones:
+  // the tree's hits, checked at a NOW, must be exactly the keys that
+  // overlap the query at that NOW.
+  Rng rng(GetParam() ^ 0xBEEF);
+  std::vector<IntervalEntry> entries;
+  for (RowId r = 0; r < 300; ++r) {
+    IntervalKey key;
+    const int64_t s = rng.Uniform(0, 1000);
+    switch (rng.Uniform(0, 3)) {
+      case 0:  // [s, s + n]
+        key = IntervalKey::Absolute(s, s + rng.Uniform(0, 80));
+        break;
+      case 1:  // [s, NOW + offset]
+        key.start = s;
+        key.now_end = rng.Uniform(-40, 40);
+        break;
+      case 2:  // [NOW + offset, e]
+        key.now_start = rng.Uniform(-40, 40);
+        key.end = s;
+        break;
+      default:  // [NOW + a, NOW + b], a <= b
+        key.now_start = rng.Uniform(-60, 0);
+        key.now_end = *key.now_start + rng.Uniform(0, 60);
+        break;
+    }
+    entries.push_back({key, r});
+  }
+  IntervalIndex index = IntervalIndex::Build(entries);
+  for (int q = 0; q < 200; ++q) {
+    const int64_t now = rng.Uniform(-50, 1100);
+    const int64_t qs = rng.Uniform(-50, 1100);
+    const int64_t qe = qs + rng.Uniform(0, 120);
+    std::vector<RowId> got;
+    index.FindOverlapping(qs, qe, now, &got);
+    std::vector<RowId> want;
+    for (const IntervalEntry& e : entries) {
+      if (e.key.OverlapsAt(now, qs, qe)) want.push_back(e.row);
+    }
+    EXPECT_EQ(Sorted(got), Sorted(want))
+        << "NOW " << now << " query [" << qs << ", " << qe << "]";
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalIndexPropertyTest,
                          ::testing::Values(21u, 42u, 84u));
 
-// -- Segmented index staleness semantics (SQL level) -------------------------
+TEST(IntervalIndexTest, DecidesNowRelativeHitsAtTheProbesNow) {
+  auto at = [](const char* text) { return Chronon::Parse(text)->seconds(); };
+  IntervalKey closing;  // [NOW-30 days, 1999-12-31]
+  closing.now_start = -30 * 86400;
+  closing.end = at("1999-12-31");
+  IntervalKey open;  // [1999-10-01, NOW]
+  open.start = at("1999-10-01");
+  open.now_end = 0;
+  const IntervalKey empty;  // an empty Element: no time under any NOW
+  IntervalIndex index = IntervalIndex::Build(
+      {{closing, 1},
+       {open, 2},
+       {empty, 3},
+       Entry(at("1999-01-01"), at("1999-01-10"), 4)});
+  auto find = [&](const char* from, const char* to, const char* now) {
+    std::vector<RowId> out;
+    index.FindOverlapping(at(from), at(to), at(now), &out);
+    return Sorted(std::move(out));
+  };
+  // Before its start the open row covers no time.
+  EXPECT_EQ(find("1999-09-01", "1999-09-30", "1999-09-17"),
+            std::vector<RowId>{1});
+  EXPECT_EQ(find("1999-10-01", "1999-10-20", "1999-11-15"),
+            (std::vector<RowId>{1, 2}));
+  // From 2000-01-31 on the closing row's start passes its end.
+  EXPECT_EQ(find("1999-01-01", "2000-12-31", "2000-06-01"),
+            (std::vector<RowId>{2, 4}));
+  // The empty key never answers a probe, but it is an entry.
+  EXPECT_EQ(index.entries().size(), 4u);
+}
+
+// -- Interval index maintenance (SQL level) ----------------------------------
 //
-// The segmented index splits each interval index into a persistent
-// absolute segment (rebuilt only on heap writes) and a NOW-dependent
-// overlay (rebuilt only on NOW changes). These tests pin down exactly
-// which segment rebuilds when, asserted through the tip_index_stats()
-// counters.
+// Each row is keyed once, without a NOW, and a view evaluates the keys
+// at its own NOW: heap writes are the only thing that rebuild or patch
+// the index. These tests pin down when it rebuilds, asserted through
+// the tip_index_stats() counters, and that its answers and errors
+// agree with a scan under every NOW.
 
 class SegmentedIndexSqlTest : public ::testing::Test {
  protected:
@@ -209,7 +293,7 @@ TEST_F(SegmentedIndexSqlTest, AllAbsoluteTableNeverRebuildsOnNowChanges) {
   EXPECT_EQ(Counter("rows_scanned"), 8);
 }
 
-TEST_F(SegmentedIndexSqlTest, MixedTableRebuildsOnlyTheOverlay) {
+TEST_F(SegmentedIndexSqlTest, MixedTableNowMovesRebuildNothing) {
   Exec("INSERT INTO t VALUES ('{[1999-01-01, 1999-03-01]}')");
   Exec("INSERT INTO t VALUES ('{[1999-04-01, 1999-05-01]}')");
   Exec("INSERT INTO t VALUES ('{[1999-10-01, NOW]}')");
@@ -219,17 +303,96 @@ TEST_F(SegmentedIndexSqlTest, MixedTableRebuildsOnlyTheOverlay) {
   Exec("SET NOW '1999-11-15'");
   EXPECT_EQ(Count(window), 1);
   EXPECT_EQ(Counter("absolute_builds"), 1);
-  EXPECT_EQ(Counter("overlay_builds"), 1);  // built with the full scan
+  EXPECT_EQ(Counter("overlay_builds"), 1);  // the build keyed the open row
+  EXPECT_EQ(Counter("rows_scanned"), 3);
 
+  // NOW moves change the answer, never the index.
   Exec("SET NOW '2000-02-01'");
   EXPECT_EQ(Count(window), 1);
-  EXPECT_EQ(Counter("absolute_builds"), 1);  // untouched
-  EXPECT_EQ(Counter("overlay_builds"), 2);   // re-grounded for the new NOW
-
-  // Same NOW again: nothing rebuilds.
+  Exec("SET NOW '1999-09-17'");
+  EXPECT_EQ(Count(window), 0);  // NOW before the open row's start
+  Exec("SET NOW '1999-10-20'");
+  EXPECT_EQ(Count(window), 0);  // the open row ends before the window
+  Exec("SET NOW '1999-11-15'");
   EXPECT_EQ(Count(window), 1);
   EXPECT_EQ(Counter("absolute_builds"), 1);
-  EXPECT_EQ(Counter("overlay_builds"), 2);
+  EXPECT_EQ(Counter("overlay_builds"), 1);
+  EXPECT_EQ(Counter("rows_scanned"), 3);
+  EXPECT_EQ(Counter("probes"), 5);
+}
+
+TEST_F(SegmentedIndexSqlTest, IndexAndScanAgreeOnGroundingErrors) {
+  // NOW + 60 days leaves the calendar under NOW 9999-12-01.
+  Exec("INSERT INTO t VALUES ('{[1999-01-01, 1999-03-01]}')");
+  Exec("INSERT INTO t VALUES ('{[NOW, NOW+60]}')");
+  Exec("CREATE INDEX idx ON t (valid) USING interval");
+  // A Period, unlike an Element, may not ground inverted:
+  // [1999-10-01, NOW] fails under NOW 1999-09-17, [NOW, 2000-12-31]
+  // under NOW 2001-06-01.
+  Exec("CREATE TABLE p (valid Period)");
+  Exec("INSERT INTO p VALUES ('[1999-01-01, 1999-03-01]')");
+  Exec("INSERT INTO p VALUES ('[1999-10-01, NOW]')");
+  Exec("INSERT INTO p VALUES ('[NOW, 2000-12-31]')");
+  Exec("CREATE INDEX p_idx ON p (valid) USING interval");
+  // All-absolute rows: only the probe value can fail.
+  Exec("CREATE TABLE a (valid Element)");
+  Exec("INSERT INTO a VALUES ('{[1999-01-01, 1999-03-01]}')");
+  Exec("CREATE INDEX a_idx ON a (valid) USING interval");
+
+  struct Case {
+    const char* now;
+    const char* sql;
+    StatusCode code;
+  };
+  const Case cases[] = {
+      {"'9999-12-01'",
+       "SELECT count(*) FROM t WHERE overlaps(valid, "
+       "'{[1999-01-01, 1999-12-31]}'::Element)",
+       StatusCode::kOutOfRange},
+      {"'9999-12-01'",
+       "SELECT count(*) FROM t WHERE overlaps(valid, '{}'::Element)",
+       StatusCode::kOutOfRange},
+      {"'9999-12-01'",
+       "SELECT count(*) FROM a, t WHERE overlaps(a.valid, t.valid)",
+       StatusCode::kOutOfRange},
+      {"'9999-12-01'",
+       "SELECT count(*) FROM a WHERE overlaps(valid, "
+       "'{[NOW, NOW+60]}'::Element)",
+       StatusCode::kOutOfRange},
+      {"'1999-09-17'",
+       "SELECT count(*) FROM p WHERE overlaps(valid, "
+       "'[1999-01-01, 1999-12-31]'::Period)",
+       StatusCode::kInvalidArgument},
+      {"'2001-06-01'",
+       "SELECT count(*) FROM p WHERE overlaps(valid, "
+       "'[1999-01-01, 1999-02-01]'::Period)",
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    Exec(std::string("SET NOW ") + c.now);
+    for (const char* setting : {"off", "on"}) {
+      Exec(std::string("SET interval_join ") + setting);
+      Result<ResultSet> r = db_.Execute(c.sql);
+      ASSERT_FALSE(r.ok()) << c.sql << " with interval_join " << setting;
+      EXPECT_EQ(r.status().code(), c.code)
+          << c.sql << " with interval_join " << setting << ": "
+          << r.status().ToString();
+    }
+  }
+
+  // Under NOWs every row grounds at, the same statements succeed and
+  // agree.
+  Exec("SET NOW '1999-11-15'");
+  for (const Case& c : cases) {
+    Exec("SET interval_join off");
+    ResultSet scanned = Exec(c.sql);
+    Exec("SET interval_join on");
+    ResultSet probed = Exec(c.sql);
+    ASSERT_EQ(scanned.rows.size(), 1u) << c.sql;
+    ASSERT_EQ(probed.rows.size(), 1u) << c.sql;
+    EXPECT_EQ(probed.rows[0][0].int_value(), scanned.rows[0][0].int_value())
+        << c.sql;
+  }
 }
 
 TEST_F(SegmentedIndexSqlTest, HeapMutationInvalidatesAbsoluteSegment) {
@@ -281,19 +444,40 @@ TEST_F(SegmentedIndexSqlTest, IndexAgreesWithSeqScanAcrossNowOverrides) {
   }
   Exec("INSERT INTO t VALUES ('{[1999-10-01, NOW]}')");
   Exec("INSERT INTO t VALUES ('{[NOW-30, NOW]}')");
+  // A closed period plus an open one that grounds inverted (and adds
+  // nothing) before 2000-03-01, so the key is looser than the extent;
+  // a future window; a period whose start passes its end after
+  // 2000-01-30 (empty from then on).
+  Exec("INSERT INTO t VALUES ('{[1999-01-05, 1999-01-20], "
+       "[2000-03-01, NOW]}')");
+  Exec("INSERT INTO t VALUES ('{[NOW+7, NOW+30]}')");
+  Exec("INSERT INTO t VALUES ('{[NOW-30, 1999-12-31]}')");
   Exec("CREATE INDEX idx ON t (valid) USING interval");
+  // An indexed Period column, with rows that ground at every NOW below.
+  Exec("CREATE TABLE p (valid Period)");
+  Exec("INSERT INTO p VALUES ('[1999-02-01, 1999-02-10]'), "
+       "('[NOW-30, NOW]'), ('[1999-06-01, NOW]'), ('[NOW, 2000-12-31]'), "
+       "('[NOW+7, NOW+30]')");
+  Exec("CREATE INDEX p_idx ON p (valid) USING interval");
 
   auto expect_agreement = [this](const std::string& phase) {
     for (const char* now : {"'1999-11-15'", "'1999-09-17'", "'2000-06-01'"}) {
       Exec(std::string("SET NOW ") + now);
-      for (const char* window :
-           {"{[1999-03-15, 1999-05-10]}", "{[1999-11-01, 1999-12-31]}",
-            "{[2000-05-01, 2000-07-01]}", "{[1998-01-01, 1998-12-31]}"}) {
-        Exec("SET interval_join off");
-        const int64_t scanned = Count(window);
-        Exec("SET interval_join on");
-        EXPECT_EQ(Count(window), scanned)
-            << phase << ": NOW " << now << " window " << window;
+      for (const std::string window :
+           {"[1999-03-15, 1999-05-10]", "[1999-11-01, 1999-12-31]",
+            "[2000-05-01, 2000-07-01]", "[1998-01-01, 1998-12-31]",
+            "[1999-01-25, 1999-01-25]"}) {
+        for (const std::string& sql :
+             {"SELECT count(*) FROM t WHERE overlaps(valid, '{" + window +
+                  "}'::Element)",
+              "SELECT count(*) FROM p WHERE overlaps(valid, '" + window +
+                  "'::Period)"}) {
+          Exec("SET interval_join off");
+          const int64_t scanned = Exec(sql).rows[0][0].int_value();
+          Exec("SET interval_join on");
+          EXPECT_EQ(Exec(sql).rows[0][0].int_value(), scanned)
+              << phase << ": NOW " << now << ": " << sql;
+        }
       }
     }
   };
@@ -400,8 +584,15 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
   const TxContext now_in(*Chronon::Parse("1999-11-15"));
   const TxContext now_out(*Chronon::Parse("1999-09-17"));
 
-  // The two NOW contexts deliberately alternate across threads so the
-  // overlay thrashes while other threads hold and probe views.
+  const IntervalKey window = IntervalKey::Absolute(qs, qe);
+
+  // The two NOW contexts deliberately alternate across threads while
+  // other threads hold and probe views. Each row was keyed once by the
+  // build below, so the NOW flips build nothing.
+  ASSERT_TRUE(table->GetIntervalIndex(0, now_in).ok());
+  const IndexStatsSnapshot built = *table->IntervalIndexStats(0);
+  EXPECT_EQ(built.absolute_builds, 1u);
+  EXPECT_EQ(built.overlay_builds, 1u);
   std::atomic<int> mismatches{0};
   std::atomic<int> errors{0};
   std::vector<std::thread> threads;
@@ -416,7 +607,7 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
           continue;
         }
         std::vector<RowId> out;
-        view->FindOverlapping(qs, qe, &out);
+        view->FindOverlapping(window, &out);
         if (out.size() != (in ? 10u : 0u)) mismatches.fetch_add(1);
       }
     });
@@ -424,6 +615,10 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
+  const IndexStatsSnapshot flipped = *table->IntervalIndexStats(0);
+  EXPECT_EQ(flipped.absolute_builds, built.absolute_builds);
+  EXPECT_EQ(flipped.overlay_builds, built.overlay_builds);
+  EXPECT_EQ(flipped.rows_scanned, built.rows_scanned);
 
   // Now writes race the probes. As under the server's gate, GetView
   // runs shared and each write exclusive; views are probed with no lock
@@ -452,7 +647,7 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
   };
   auto probe = [&](const IntervalIndexView& view) {
     std::vector<RowId> out;
-    view.FindOverlapping(qs, qe, &out);
+    view.FindOverlapping(window, &out);
     return out.size();
   };
 
@@ -496,7 +691,8 @@ TEST(SegmentedIndexConcurrencyTest, ConcurrentGetIntervalIndexIsRaceFree) {
   for (int i = 0; i < 160; ++i) {
     // Per cycle of four: an absolute row enters the window, an open row
     // enters it, the absolute row is moved out, the open row is closed
-    // inside the window (from the overlay into the absolute delta).
+    // inside the window (its NOW-relative key replaced by an absolute
+    // one in the delta).
     const int id = 1000 + i;
     std::string sql;
     switch (i % 4) {

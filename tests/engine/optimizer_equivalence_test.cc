@@ -121,7 +121,8 @@ TEST_P(OptimizerEquivalenceTest, RandomTimeslices) {
 }
 
 TEST_P(OptimizerEquivalenceTest, JoinsUnderShiftedNow) {
-  // The index must rebuild correctly when the transaction time moves.
+  // The index must answer correctly at whatever NOW a statement runs
+  // under.
   for (const char* now : {"1994-01-01", "1999-11-15", "2005-06-01"}) {
     ASSERT_TRUE(db_.Execute(std::string("SET NOW '") + now + "'").ok());
     ExpectAllPlansAgree(
@@ -129,6 +130,35 @@ TEST_P(OptimizerEquivalenceTest, JoinsUnderShiftedNow) {
         "WHERE p1.drug = 'drug0001' AND overlaps(p1.valid, p2.valid) "
         "AND p1.patient = p2.patient");
   }
+}
+
+TEST_P(OptimizerEquivalenceTest, GroundingErrorsAgreeAcrossPlans) {
+  // NOW + 60 days leaves the calendar under NOW 9999-12-01: every plan
+  // must fail there as the scan does, and agree on rows elsewhere.
+  ASSERT_TRUE(db_.Execute("INSERT INTO rx (patient, drug, valid) VALUES "
+                          "('patient9999', 'drug0001', '{[NOW, NOW+60]}')")
+                  .ok());
+  const std::string queries[] = {
+      "SELECT patient FROM rx WHERE overlaps(valid, "
+      "'{[1995-01-01, 1995-03-01]}'::Element)",
+      "SELECT count(*) FROM rx WHERE overlaps(valid, "
+      "'{[1999-11-20, 1999-11-20]}'::Element)",
+      "SELECT p1.patient, p2.patient FROM rx p1, rx p2 "
+      "WHERE p1.drug = 'drug0001' AND p2.drug = 'drug0002' "
+      "AND overlaps(p1.valid, p2.valid)"};
+  ASSERT_TRUE(db_.Execute("SET NOW '9999-12-01'").ok());
+  for (const std::string& sql : queries) {
+    for (bool hash : {true, false}) {
+      for (bool interval : {true, false}) {
+        db_.set_hash_join_enabled(hash);
+        db_.set_interval_join_enabled(interval);
+        EXPECT_EQ(db_.Execute(sql).status().code(), StatusCode::kOutOfRange)
+            << sql << " (hash=" << hash << ", interval=" << interval << ")";
+      }
+    }
+  }
+  ASSERT_TRUE(db_.Execute("SET NOW '1999-11-15'").ok());
+  for (const std::string& sql : queries) ExpectAllPlansAgree(sql);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerEquivalenceTest,

@@ -484,7 +484,7 @@ TEST_F(ParallelExecTest, EarlyStoppingReadersKeepSerialScans) {
 // thread flips the NOW override between two instants. Every result must
 // equal the serial result under one of the two NOW values (a statement
 // captures its TxContext once, so no mixed states are legal), and the
-// interval index must survive the overlay rebuilds this provokes.
+// one interval index must answer views at both NOWs at once.
 TEST_F(ParallelExecTest, ConcurrentQueriesUnderNowFlips) {
   ASSERT_TRUE(db_.Execute("SET parallel_workers 4").ok());
   const std::string kNowA = "1999-11-15";

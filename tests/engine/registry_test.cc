@@ -160,10 +160,9 @@ TEST(CatalogTest, TableLifecycle) {
 TEST(CatalogTest, IntervalIndexLifecycleAndStaleness) {
   Catalog catalog;
   Table* table = *catalog.CreateTable("t", {{"v", TypeId::kInt}});
-  IntervalKeyFn key = [](const Datum& d,
-                         const TxContext&) -> Result<IntervalKey> {
+  IntervalKeyFn key = [](const Datum& d) {
     const int64_t s = d.int_value();
-    return IntervalKey::Bounds(s, s + 9, /*now_dependent=*/false);
+    return IntervalKey::Absolute(s, s + 9);
   };
   ASSERT_TRUE(table->CreateIntervalIndex("i", 0, key).ok());
   EXPECT_FALSE(table->CreateIntervalIndex("i", 0, key).ok());
@@ -174,7 +173,7 @@ TEST(CatalogTest, IntervalIndexLifecycleAndStaleness) {
   TxContext ctx;
   Result<IntervalIndexView> built = table->GetIntervalIndex(0, ctx);
   ASSERT_TRUE(built.ok());
-  EXPECT_EQ(built->entry_count(), 2u);
+  EXPECT_EQ(built->Entries().size(), 2u);
 
   // Writes are caught up lazily: the new row is a delta entry, the
   // updated row's old entry is hidden behind its new one, and the
@@ -182,25 +181,25 @@ TEST(CatalogTest, IntervalIndexLifecycleAndStaleness) {
   table->heap().Insert(Row{Datum::Int(200)});
   Result<IntervalIndexView> index = table->GetIntervalIndex(0, ctx);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->entry_count(), 3u);
+  EXPECT_EQ(index->Entries().size(), 3u);
   ASSERT_TRUE(table->heap().Update(first, Row{Datum::Int(50)}).ok());
   ASSERT_TRUE(table->heap().Delete(second).ok());
   index = table->GetIntervalIndex(0, ctx);
   ASSERT_TRUE(index.ok());
-  EXPECT_EQ(index->entry_count(), 2u);
+  EXPECT_EQ(index->Entries().size(), 2u);
   std::vector<RowId> hits;
-  index->FindOverlapping(0, 9, &hits);
+  index->FindOverlapping(IntervalKey::Absolute(0, 9), &hits);
   EXPECT_TRUE(hits.empty());  // `first` now covers [50, 59]
-  index->FindOverlapping(55, 105, &hits);
+  index->FindOverlapping(IntervalKey::Absolute(55, 105), &hits);
   EXPECT_EQ(hits, std::vector<RowId>{first});
 
   // A view taken earlier still answers from its snapshot.
-  EXPECT_EQ(built->entry_count(), 2u);
+  EXPECT_EQ(built->Entries().size(), 2u);
   hits.clear();
-  built->FindOverlapping(0, 9, &hits);
+  built->FindOverlapping(IntervalKey::Absolute(0, 9), &hits);
   EXPECT_EQ(hits, std::vector<RowId>{first});
 
-  // One full build, none caused by NOW (all-absolute keys).
+  // One full build, which keyed no NOW-relative row.
   std::optional<IndexStatsSnapshot> stats = table->IntervalIndexStats(0);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->absolute_builds, 1u);

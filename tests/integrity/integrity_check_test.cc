@@ -165,6 +165,38 @@ TEST_F(IntegrityCheckTest, CorruptIndexEntryIsDetectedInBothDirections) {
             1);
 }
 
+TEST_F(IntegrityCheckTest, IndexCheckGivesOneVerdictAtEveryNow) {
+  Exec("CREATE TABLE emp (id INT, valid Element)");
+  Exec("CREATE INDEX emp_valid ON emp (valid) USING interval");
+  Exec("INSERT INTO emp VALUES (1, '{[1998-01-01, 1998-06-01]}')");
+
+  // The open row covers no time before its start, so at NOW 1999-09-17
+  // no probe meets its entry; CHECK compares entries as stored and must
+  // reach the same verdict there as at NOW 1999-11-15.
+  for (const char* now : {"'1999-09-17'", "'1999-11-15'"}) {
+    SCOPED_TRACE(now);
+    Exec(std::string("SET NOW ") + now);
+    EXPECT_EQ(CheckRow(Exec("CHECK TABLE emp"), "emp").first, "ok");
+
+    // The catch-up CHECK triggers after this INSERT files the open
+    // row's entry under a wrong row id.
+    fault::InjectAt("integrity.indexentry", 0);
+    Exec("INSERT INTO emp VALUES (2, '{[1999-10-01, NOW]}')");
+    auto [status, detail] = CheckRow(Exec("CHECK TABLE emp"), "emp");
+    fault::ClearAll();
+    EXPECT_EQ(status, "corrupt");
+    EXPECT_NE(detail.find("not a live heap row"), std::string::npos)
+        << detail;
+    EXPECT_NE(detail.find("missing from the index"), std::string::npos)
+        << detail;
+
+    // CHECK dropped the rot; the rebuild the next CHECK triggers is
+    // clean.
+    EXPECT_EQ(CheckRow(Exec("CHECK TABLE emp"), "emp").first, "ok");
+    Exec("DELETE FROM emp WHERE id = 2");
+  }
+}
+
 TEST_F(IntegrityCheckTest, TipVerifyAndHealthReportTheScrub) {
   Exec("CREATE TABLE t (id INT)");
   Exec("INSERT INTO t VALUES (1)");
